@@ -5,7 +5,6 @@
     fdirnet sweep    --scenario s.yaml --out results/ --values 0.5,1,2
 
 Exit codes: 0 success, 1 error, 2 degraded convergence.
-FDIRNET_THREADS caps phase parallelism (0 = single-threaded deterministic).
 """
 
 from __future__ import annotations

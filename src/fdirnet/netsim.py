@@ -9,18 +9,17 @@ Each inner iteration has three phases with a global barrier between them:
   3. every agent runs its dual updates locally.
 
 Messages are the only cross-agent channel; an agent can only address its
-neighbors. Message delivery order is sorted by (sender, receiver), so a
-run is bit-reproducible. Optional thread parallelism (FDIRNET_THREADS)
-only parallelizes the per-agent compute inside a phase and produces
-identical results to the single-threaded mode.
+neighbors. Each message carries a read-only array, and delivery writes it
+into the receiver's slot row of the sender. A delivery must write every
+(receiver, neighbor, kind) slot its phase feeds, so no agent ever updates
+from data that never arrived. Message delivery order is sorted by
+(sender, receiver), so a run is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,22 +35,26 @@ KIND_XBAR = "xbar"
 KIND_MU = "dual_mu"
 KIND_COPY = "copy_of_you"
 
+# the slot kinds each delivering phase writes, for every (receiver, neighbor)
+PHASE_KINDS = {PHASE_XBAR: (KIND_XBAR, KIND_MU), PHASE_COPY: (KIND_COPY,)}
+SLOT_ARRAYS = {KIND_XBAR: "nbr_xbar", KIND_MU: "nbr_mu", KIND_COPY: "nbr_copy_of_me"}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)  # messages compare by identity, not payload
 class Message:
     sender: int
     receiver: int
     round: int
     phase: int
     kind: str
-    payload: tuple  # immutable float tuple
+    payload: np.ndarray  # read-only
 
 
-def _threads() -> int:
-    try:
-        return int(os.environ.get("FDIRNET_THREADS", "0"))
-    except ValueError:
-        return 0
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy; rows of it are read-only views."""
+    out = a.copy()
+    out.flags.writeable = False
+    return out
 
 
 class Network:
@@ -64,62 +67,65 @@ class Network:
         self.record_trace = record_trace
         self.trace: list[Message] = []
         self.round = 0
-
-    def _for_each_agent(self, fn):
-        ids = sorted(self.agents)
-        nthreads = _threads()
-        if nthreads > 1:
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                list(pool.map(lambda i: fn(self.agents[i]), ids))
-        else:
-            for i in ids:
-                fn(self.agents[i])
+        self.num_slots = sum(len(a.neighbors) for a in agents.values())
 
     def _deliver(self, messages: list[Message]) -> list[Message]:
+        if not messages:
+            if self.num_slots:
+                raise ProtocolViolation("a delivering phase sent no messages")
+            return messages
         messages.sort(key=lambda m: (m.sender, m.receiver, m.kind))
+        kinds = PHASE_KINDS.get(messages[0].phase, ())
+        written = set()
         for m in messages:
             if m.receiver not in self.tables.neighbors[m.sender]:
                 raise ProtocolViolation(
                     f"agent {m.sender} sent to non-neighbor {m.receiver}"
                 )
+            if m.kind not in kinds:
+                raise ProtocolViolation(
+                    f"unknown message kind {m.kind!r} in phase {m.phase}")
             dst = self.agents[m.receiver]
-            payload = np.array(m.payload)
-            if m.kind == KIND_XBAR:
-                dst.nbr_xbar[m.sender] = payload
-            elif m.kind == KIND_MU:
-                dst.nbr_mu[m.sender] = payload
-            elif m.kind == KIND_COPY:
-                dst.nbr_copy_of_me[m.sender] = payload
-            else:
-                raise ProtocolViolation(f"unknown message kind {m.kind!r}")
+            slots = getattr(dst, SLOT_ARRAYS[m.kind])
+            slots[dst.neighbors.index(m.sender)] = m.payload
+            written.add((m.receiver, m.sender, m.kind))
+        if len(written) < self.num_slots * len(kinds):
+            missing = [(i, j, k) for i, a in self.agents.items() for j in a.neighbors
+                       for k in kinds if (i, j, k) not in written]
+            raise ProtocolViolation(
+                f"{len(missing)} slots never written, the first (receiver, "
+                f"neighbor, kind) being {missing[0]}")
         if self.record_trace:
             self.trace.extend(messages)
         return messages
 
     def run_phase(self, phase: int, prox_tol: float = 1e-9) -> list[Message]:
         """Run one phase at every agent and deliver its messages."""
+        ids = sorted(self.agents)
         if phase == PHASE_XBAR:
-            self._for_each_agent(lambda a: a.primal_update_x(tol=prox_tol))
+            for i in ids:
+                self.agents[i].primal_update_x(tol=prox_tol)
             out = []
-            for i in sorted(self.agents):
+            for i in ids:
                 a = self.agents[i]
-                for j in a.neighbors:
-                    out.append(Message(i, j, self.round, phase, KIND_XBAR,
-                                       tuple(a.x_bar)))
-                    out.append(Message(i, j, self.round, phase, KIND_MU,
-                                       tuple(a.mu[j])))
+                xbar, mu = _frozen(a.x_bar), _frozen(a.mu)
+                for s, j in enumerate(a.neighbors):
+                    out.append(Message(i, j, self.round, phase, KIND_XBAR, xbar))
+                    out.append(Message(i, j, self.round, phase, KIND_MU, mu[s]))
             return self._deliver(out)
         if phase == PHASE_COPY:
-            self._for_each_agent(lambda a: a.primal_update_w())
+            for i in ids:
+                self.agents[i].primal_update_w()
             out = []
-            for i in sorted(self.agents):
+            for i in ids:
                 a = self.agents[i]
-                for j in a.neighbors:
-                    out.append(Message(i, j, self.round, phase, KIND_COPY,
-                                       tuple(a.w[j])))
+                w = _frozen(a.w)
+                for s, j in enumerate(a.neighbors):
+                    out.append(Message(i, j, self.round, phase, KIND_COPY, w[s]))
             return self._deliver(out)
         if phase == PHASE_DUAL:
-            self._for_each_agent(lambda a: a.dual_update())
+            for i in ids:
+                self.agents[i].dual_update()
             return []
         raise ValueError(f"unknown phase {phase}")
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import AgentState, EdgeView
-from .blocklin import BlockVec, block_sparsity, norm_2q, support
+from .agent import AgentState
+from .blocklin import BlockMat, BlockVec, block_sparsity, support
 from .exceptions import DomainViolation
 from .measurements import MeasurementStack, eval_stack, jacobian_stack
 from .netsim import Network
@@ -61,15 +61,13 @@ class OuterIterRow:
     x_star_sparsity: int
     inner_iters: int
     inner_converged: bool
+    inner_stop: str  # "converged", "stalled" or "budget"
 
 
 @dataclass
 class RunTrace:
     inner: list[list[InnerIterRow]] = field(default_factory=list)
     outer: list[OuterIterRow] = field(default_factory=list)
-    # per inner iteration, per agent: (xbar, copies) snapshots; only kept
-    # when state recording is on
-    states: list[list[dict]] = field(default_factory=list)
 
     def dump_inner_csv(self, path, outer_iter: int) -> None:
         rows = self.inner[outer_iter]
@@ -84,67 +82,67 @@ class RunTrace:
                                  row.l21_objective, meas, row.fastpath_count])
 
 
+def _local_linearization(stack: MeasurementStack, R: BlockMat, resid: np.ndarray,
+                         i: int, neighbors: tuple[int, ...],
+                         incident: tuple[int, ...]):
+    """Agent i's packed rows of the linearization: (row offsets, J, r), in
+    the layout of the agent module (edges ascending, columns [self | neighbors])."""
+    d = stack.d
+    col = {j: d * (s + 1) for s, j in enumerate(neighbors)}
+    col[i] = 0
+    offsets = R.row_structure.offsets
+    rows = [0]
+    for l in incident:
+        rows.append(rows[-1] + offsets[l + 1] - offsets[l])
+    J = np.zeros((rows[-1], d * (len(neighbors) + 1)))
+    for e, l in enumerate(incident):
+        for j in stack.graph.edges[l]:
+            J[rows[e]:rows[e + 1], col[j]:col[j] + d] = R.get_block(l, j)
+    r = resid[[q for l in incident for q in range(offsets[l], offsets[l + 1])]]
+    return tuple(rows), J, r
+
+
 def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
                   x_star: BlockVec, rho: float,
                   record_trace: bool = False) -> Network:
-    """Agents with the linearization (R, r) taken at p_point."""
+    """Agents with the linearization (J, r) taken at p_point."""
     tables = build_tables(stack.graph)
     R = jacobian_stack(stack, p_point)
-    phi = eval_stack(stack, p_point)
+    resid = y.data - eval_stack(stack, p_point).data
     agents: dict[int, AgentState] = {}
     for i in range(stack.graph.num_vertices):
-        edges = {}
-        for l in tables.incident[i]:
-            members = stack.graph.edges[l]
-            edges[l] = EdgeView(
-                members=members,
-                R={j: R.get_block(l, j) for j in members},
-                r=y.block(l) - phi.block(l),
-            )
-        lengths = {i: stack.d}
-        for j in tables.neighbors[i]:
-            lengths[j] = stack.d
+        nbrs = tuple(sorted(tables.neighbors[i]))
+        rows, J, r = _local_linearization(stack, R, resid, i, nbrs,
+                                          tables.incident[i])
         agents[i] = AgentState(i=i, rho=rho, x_star=x_star.block(i),
-                               edges=edges, block_lengths=lengths)
-        # round-0 convention: all copies are zero (xhat starts at 0)
-        for j in sorted(tables.neighbors[i]):
-            agents[i].nbr_copy_of_me[j] = np.zeros(stack.d)
+                               neighbors=nbrs, incident=tables.incident[i],
+                               rows=rows, J=J, r=r)
     return Network(agents, tables, record_trace=record_trace)
 
 
 def relinearize(network: Network, stack: MeasurementStack, p_point: BlockVec,
                 y: BlockVec, x_star: BlockVec) -> None:
-    """Refresh (R, r) and x* in place, keeping duals and copies warm.
+    """Refresh (J, r) and x* in place, keeping duals and copies warm.
 
     Copies approximate xhat blocks; since the absorbed xbar resets xhat to
     zero, every copy is shifted by the absorbed amount to stay consistent.
     """
     R = jacobian_stack(stack, p_point)
-    phi = eval_stack(stack, p_point)
+    resid = y.data - eval_stack(stack, p_point).data
     for i, a in network.agents.items():
-        for l in a.incident:
-            members = stack.graph.edges[l]
-            a.edges[l] = EdgeView(
-                members=members,
-                R={j: R.get_block(l, j) for j in members},
-                r=y.block(l) - phi.block(l),
-            )
-        absorbed_own = a.x_bar.copy()
-        for j in a.neighbors:
-            if j in a.nbr_xbar:
-                a.w[j] = a.w[j] - a.nbr_xbar[j]
-            if j in a.nbr_copy_of_me:
-                a.nbr_copy_of_me[j] = a.nbr_copy_of_me[j] - absorbed_own
+        _, a.J, a.r = _local_linearization(stack, R, resid, i, a.neighbors,
+                                           a.incident)
+        a.w -= a.nbr_xbar
+        a.nbr_copy_of_me -= a.x_bar
         a.x_star = x_star.block(i).copy()
-        a.x_bar = np.zeros_like(a.x_star)
+        a.x_bar[:] = 0.0
 
 
 STALL_WINDOW = 200
 STALL_FACTOR = 0.9
 
 
-def inner_admm(network: Network, params: InnerParams,
-               record_states: bool = False):
+def inner_admm(network: Network, params: InnerParams):
     """Run ADMM rounds until primal/dual tolerances or the budget.
 
     On an infeasible linearized system (linearization error off the range
@@ -153,15 +151,14 @@ def inner_admm(network: Network, params: InnerParams,
     since the outer loop will relinearize anyway.
 
     Returns (xbar: BlockVec, rows: list[InnerIterRow], converged: bool,
-    state_log). state_log holds per-iteration {agent: (xbar, copies)}
-    snapshots when requested.
+    stop), where stop says why the loop ended: "converged", "stalled" or
+    "budget".
     """
     agents = network.agents
     ids = sorted(agents)
     rows: list[InnerIterRow] = []
-    state_log: list[dict] = []
     prev_xbar = {i: agents[i].x_bar.copy() for i in ids}
-    converged = False
+    stop = "budget"
     best_progress: list[float] = []
 
     for _ in range(params.max_inner_iters):
@@ -178,28 +175,23 @@ def inner_admm(network: Network, params: InnerParams,
             obj += float(np.linalg.norm(a.x_star + a.x_bar))
             fast += int(a.fast_path)
         rows.append(InnerIterRow(max_c, max_d, obj, fast))
-        if record_states:
-            state_log.append({
-                i: (agents[i].x_bar.copy(),
-                    {j: agents[i].w[j].copy() for j in agents[i].neighbors})
-                for i in ids
-            })
 
         dx = max(float(np.linalg.norm(agents[i].x_bar - prev_xbar[i])) for i in ids)
         prev_xbar = {i: agents[i].x_bar.copy() for i in ids}
         if max_c <= params.tol_primal and max_d <= params.tol_primal \
                 and dx <= params.tol_dual:
-            converged = True
+            stop = "converged"
             break
         progress = max(max_c, max_d, dx)
         best_progress.append(min(progress, best_progress[-1])
                              if best_progress else progress)
         if len(best_progress) > STALL_WINDOW and \
                 best_progress[-1] > STALL_FACTOR * best_progress[-1 - STALL_WINDOW]:
+            stop = "stalled"
             break
 
     xbar = BlockVec.from_blocks([agents[i].x_bar for i in ids])
-    return xbar, rows, converged, state_log
+    return xbar, rows, stop == "converged", stop
 
 
 def identify_faults(x_star: BlockVec, fault_tol: float) -> frozenset:
@@ -256,7 +248,7 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
                 edge=exc.edge,
             ) from exc
 
-        xbar, rows, converged, _ = inner_admm(network, inner_params)
+        xbar, rows, converged, stop = inner_admm(network, inner_params)
         trace.inner.append(rows)
 
         x_star = BlockVec(x_star.structure, x_star.data + xbar.data)
@@ -269,6 +261,7 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
             x_star_sparsity=block_sparsity(x_star, 1e-9),
             inner_iters=len(rows),
             inner_converged=converged,
+            inner_stop=stop,
         ))
 
         step = float(np.linalg.norm(xbar.data))

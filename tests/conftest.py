@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fdirnet.agent import AgentState, EdgeView
+from fdirnet.agent import AgentState
 from fdirnet.blocklin import BlockVec
 from fdirnet.measurements import MeasurementKind, MeasurementStack
 from fdirnet.topology import Hypergraph, build_tables
@@ -102,43 +102,44 @@ def path_distance_stack(n, d=2):
 # ---------------------------------------------------------------------
 
 def random_agent_state(rng, rho=None, n_edges=None, n_nbrs=None, d=2):
-    """One agent with random incident structure, duals, copies and x*."""
+    """One agent with random incident structure, duals, copies and x*,
+    packed in the layout the agent module documents."""
     rho = rho if rho is not None else float(rng.uniform(0.3, 3.0))
     n_edges = n_edges if n_edges is not None else int(rng.integers(0, 4))
     n_nbrs = n_nbrs if n_nbrs is not None else int(rng.integers(1, 4))
     i = 0
     nbrs = list(range(1, n_nbrs + 1))
-    edges = {}
-    for l in range(n_edges):
+    edges = []  # (members, Jacobian block per member, r)
+    for _ in range(n_edges):
         others = list(rng.choice(nbrs, size=int(rng.integers(1, min(2, n_nbrs) + 1)),
                                  replace=False))
         members = tuple([i] + [int(o) for o in others])
         m_l = int(rng.integers(1, 3))
-        edges[l] = EdgeView(
-            members=members,
-            R={j: rng.normal(size=(m_l, d)) for j in members},
-            r=rng.normal(size=m_l),
-        )
-    state = AgentState(
-        i=i, rho=rho, x_star=rng.normal(size=d), edges=edges,
-        block_lengths={j: d for j in [i] + nbrs},
-    )
-    # AgentState.neighbors is derived from edges; give every consensus
-    # neighbor at least one shared (possibly zero-coefficient) edge
+        edges.append((members, {j: rng.normal(size=(m_l, d)) for j in members},
+                      rng.normal(size=m_l)))
+    x_star = rng.normal(size=d)
+    # give every consensus neighbor at least one shared edge
+    covered = {j for members, _, _ in edges for j in members}
     for j in nbrs:
-        if j not in state.neighbors:
-            l = len(edges)
-            state.edges[l] = EdgeView(
-                members=(i, j),
-                R={i: rng.normal(size=(1, d)), j: rng.normal(size=(1, d))},
-                r=rng.normal(size=1),
-            )
-    state.w = {j: rng.normal(size=d) for j in state.neighbors}
-    state.lam = {l: rng.normal(size=len(ev.r)) for l, ev in state.edges.items()}
-    state.mu = {j: rng.normal(size=d) for j in state.neighbors}
-    state.nbr_copy_of_me = {j: rng.normal(size=d) for j in state.neighbors}
-    state.nbr_xbar = {j: rng.normal(size=d) for j in state.neighbors}
-    state.nbr_mu = {j: rng.normal(size=d) for j in state.neighbors}
+        if j not in covered:
+            edges.append(((i, j), {i: rng.normal(size=(1, d)), j: rng.normal(size=(1, d))},
+                          rng.normal(size=1)))
+    rows = [0]
+    for _, _, r in edges:
+        rows.append(rows[-1] + len(r))
+    J = np.zeros((rows[-1], d * (n_nbrs + 1)))
+    for e, (members, R, _) in enumerate(edges):
+        for j in members:  # agent i is column block 0, neighbor j block j
+            J[rows[e]:rows[e + 1], d * j:d * (j + 1)] = R[j]
+    state = AgentState(i=i, rho=rho, x_star=x_star, neighbors=tuple(nbrs),
+                       incident=tuple(range(len(edges))), rows=tuple(rows), J=J,
+                       r=np.concatenate([r for _, _, r in edges]))
+    state.w = rng.normal(size=(n_nbrs, d))
+    state.lam_rows = rng.normal(size=rows[-1])
+    state.mu = rng.normal(size=(n_nbrs, d))
+    state.nbr_copy_of_me = rng.normal(size=(n_nbrs, d))
+    state.nbr_xbar = rng.normal(size=(n_nbrs, d))
+    state.nbr_mu = rng.normal(size=(n_nbrs, d))
     return state
 
 
@@ -148,8 +149,8 @@ def step3_objective(state: AgentState, xhat_i) -> float:
     quad = 0.0
     for l in state.incident:
         quad += np.linalg.norm(state.constraint_c(l, xhat_i) + state.lam[l]) ** 2
-    for j in state.neighbors:
-        quad += np.linalg.norm(state.constraint_d(j, xhat_i) + state.mu[j]) ** 2
+    for j, mu_j in zip(state.neighbors, state.mu):
+        quad += np.linalg.norm(state.constraint_d(j, xhat_i) + mu_j) ** 2
     return float(np.linalg.norm(state.x_star + xhat_i) + 0.5 * state.rho * quad)
 
 

@@ -1,8 +1,12 @@
+import gc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fdirnet.blocklin import BlockVec
 from fdirnet.measurements import MeasurementKind, MeasurementStack, eval_stack
+from fdirnet.scenario import load_scenario
 from fdirnet.solver import (
     InnerParams,
     OuterParams,
@@ -15,6 +19,8 @@ from fdirnet.solver import (
 from fdirnet.topology import Hypergraph
 
 from conftest import all_pairs_distance_stack, geometric_positions, mixed_stack
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def displacement_stack(n, d=2):
@@ -148,3 +154,56 @@ def test_invalid_params_rejected():
         InnerParams(tol_primal=-1.0)
     with pytest.raises(ValueError):
         OuterParams(tol_step=0.0)
+
+
+# Trajectories recorded from the solver with per-edge dict state (before
+# the state was packed into arrays). Summation order may move x* by a few
+# ulps; any change in round counts or beyond 1e-12 is a behaviour change.
+GOLDEN = {
+    "mixed_chain_fault": (
+        [392, 231], ["stalled", "stalled"], {2},
+        [0.0, 0.0, 0.0, 0.0, -0.49999994274704707, 0.29999997515583143,
+         0.0, 0.0, 0.0, 0.0]),
+    "circle_single_fault": (
+        [210, 241, 50, 26], ["stalled", "stalled", "converged", "converged"], {3},
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.6000008799595739, 0.8000010202840298,
+         0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_trajectory(name):
+    inner_iters, stops, faults, x_star = GOLDEN[name]
+    scn = load_scenario(SCENARIOS / f"{name}.yaml")
+    res = outer_scp(scn.stack, scn.reported_states, scn.measurements(),
+                    scn.inner_params, scn.outer_params)
+    assert [o.inner_iters for o in res.trace.outer] == inner_iters
+    assert [o.inner_stop for o in res.trace.outer] == stops
+    assert res.faults == frozenset(faults)
+    assert np.max(np.abs(res.x_star.data - x_star)) <= 1e-12
+
+
+def held_containers(obj) -> int:
+    """ndarrays and dicts reachable from obj through containers, by id."""
+    seen, todo = set(), [obj]
+    while todo:
+        for ref in gc.get_referents(todo.pop()):
+            if isinstance(ref, (np.ndarray, dict)) and id(ref) not in seen:
+                seen.add(id(ref))
+                todo.append(ref)
+            elif isinstance(ref, (list, tuple)):
+                todo.append(ref)
+    return len(seen)
+
+
+def test_agent_state_size_independent_of_degree(rng):
+    # the agent keeps a fixed set of packed arrays, however many edges and
+    # neighbors it has (a hub next to leaves here)
+    edges = [(0, j) for j in range(1, 8)] + [(1, 2)]
+    stack = MeasurementStack(Hypergraph(8, tuple(edges),
+                                        (MeasurementKind.BEARING,) * len(edges)), 2)
+    p = BlockVec.from_blocks(geometric_positions(rng, 8, 2))
+    net = build_network(stack, p, eval_stack(stack, p), BlockVec(p.structure), 1.0)
+    net.run_iteration()
+    counts = {held_containers(a) for a in net.agents.values()}
+    assert len(counts) == 1 and counts.pop() <= 20
