@@ -8,12 +8,17 @@ Each inner iteration has three phases with a global barrier between them:
      each neighbor j its fresh copy w_i^(j);
   3. every agent runs its dual updates locally.
 
-Messages are the only cross-agent channel; an agent can only address its
-neighbors. Each message carries a read-only array, and delivery writes it
-into the receiver's slot row of the sender. A delivery must write every
-(receiver, neighbor, kind) slot its phase feeds, so no agent ever updates
-from data that never arrived. Message delivery order is sorted by
-(sender, receiver), so a run is bit-reproducible.
+Sends are the only cross-agent channel. Per kind, every agent hands over
+one send block with a row per neighbor, in its slot order. The routing is
+fixed by the neighbor tables: ``Network.route`` maps each receiver slot
+row ("i's slot for j", all agents' slot rows in id order) to the sender
+row that feeds it ("j's slot for i"), so no agent can reach a
+non-neighbor, and delivery is one gather per kind followed by one slice
+assignment into each receiver's slot array. A phase that leaves out a
+kind, sends an unknown one or hands over a block without exactly one row
+per neighbor is a protocol violation, so no agent ever updates from data
+that never arrived. ``Message`` objects are built, and returned by
+``run_phase``, only when the trace is recorded.
 """
 
 from __future__ import annotations
@@ -50,82 +55,65 @@ class Message:
     payload: np.ndarray  # read-only
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only copy; rows of it are read-only views."""
-    out = a.copy()
-    out.flags.writeable = False
-    return out
-
-
 class Network:
     """A set of agents plus the sole communication channel between them."""
 
     def __init__(self, agents: dict[int, AgentState], tables: NeighborTables,
                  record_trace: bool = False):
         self.agents = agents
-        self.tables = tables
         self.record_trace = record_trace
         self.trace: list[Message] = []
         self.round = 0
-        self.num_slots = sum(len(a.neighbors) for a in agents.values())
+        # slot rows of all agents in id order; route[q] is the sender row
+        # feeding receiver row q: "i's slot for j" <- "j's slot for i"
+        nbrs = [sorted(s) for s in tables.neighbors]
+        self.bounds = np.cumsum([0] + [len(s) for s in nbrs]).tolist()
+        self.route = np.array([self.bounds[j] + nbrs[j].index(i)
+                               for i, s in enumerate(nbrs) for j in s], dtype=np.intp)
 
-    def _deliver(self, messages: list[Message]) -> list[Message]:
-        if not messages:
-            if self.num_slots:
-                raise ProtocolViolation("a delivering phase sent no messages")
-            return messages
-        messages.sort(key=lambda m: (m.sender, m.receiver, m.kind))
-        kinds = PHASE_KINDS.get(messages[0].phase, ())
-        written = set()
-        for m in messages:
-            if m.receiver not in self.tables.neighbors[m.sender]:
+    def _deliver(self, phase: int, sends: dict[str, list[np.ndarray]]) -> list[Message]:
+        """Route each kind's send blocks, one per agent in id order."""
+        kinds = sorted(PHASE_KINDS.get(phase, ()))
+        if sorted(sends) != kinds:
+            raise ProtocolViolation(f"phase {phase} sent kinds {sorted(sends)}, not {kinds}")
+        agents = [self.agents[i] for i in sorted(self.agents)]
+        sent = {}
+        for kind, blocks in sends.items():
+            slots = [getattr(a, SLOT_ARRAYS[kind]) for a in agents]
+            if len(blocks) != len(slots) or any(
+                    b.shape != s.shape for b, s in zip(blocks, slots)):
                 raise ProtocolViolation(
-                    f"agent {m.sender} sent to non-neighbor {m.receiver}"
-                )
-            if m.kind not in kinds:
-                raise ProtocolViolation(
-                    f"unknown message kind {m.kind!r} in phase {m.phase}")
-            dst = self.agents[m.receiver]
-            slots = getattr(dst, SLOT_ARRAYS[m.kind])
-            slots[dst.neighbors.index(m.sender)] = m.payload
-            written.add((m.receiver, m.sender, m.kind))
-        if len(written) < self.num_slots * len(kinds):
-            missing = [(i, j, k) for i, a in self.agents.items() for j in a.neighbors
-                       for k in kinds if (i, j, k) not in written]
-            raise ProtocolViolation(
-                f"{len(missing)} slots never written, the first (receiver, "
-                f"neighbor, kind) being {missing[0]}")
-        if self.record_trace:
-            self.trace.extend(messages)
-        return messages
+                    f"phase {phase} {kind!r} send blocks need one row per neighbor")
+            sent[kind] = np.concatenate(blocks)
+            rows = sent[kind][self.route]
+            for s, lo, hi in zip(slots, self.bounds, self.bounds[1:]):
+                s[:] = rows[lo:hi]
+        if not self.record_trace:
+            return []
+        for payload in sent.values():
+            payload.flags.writeable = False  # so are the rows the messages carry
+        out = [Message(a.i, j, self.round, phase, kind, sent[kind][q])
+               for a, lo in zip(agents, self.bounds)
+               for q, j in enumerate(a.neighbors, lo) for kind in kinds]
+        self.trace.extend(out)
+        return out
 
     def run_phase(self, phase: int, prox_tol: float = 1e-9) -> list[Message]:
-        """Run one phase at every agent and deliver its messages."""
-        ids = sorted(self.agents)
+        """Run one phase at every agent and deliver its sends."""
+        agents = [self.agents[i] for i in sorted(self.agents)]
         if phase == PHASE_XBAR:
-            for i in ids:
-                self.agents[i].primal_update_x(tol=prox_tol)
-            out = []
-            for i in ids:
-                a = self.agents[i]
-                xbar, mu = _frozen(a.x_bar), _frozen(a.mu)
-                for s, j in enumerate(a.neighbors):
-                    out.append(Message(i, j, self.round, phase, KIND_XBAR, xbar))
-                    out.append(Message(i, j, self.round, phase, KIND_MU, mu[s]))
-            return self._deliver(out)
+            for a in agents:
+                a.primal_update_x(tol=prox_tol)
+            return self._deliver(phase, {
+                KIND_XBAR: [a.x_bar[None].repeat(len(a.neighbors), 0) for a in agents],
+                KIND_MU: [a.mu for a in agents]})
         if phase == PHASE_COPY:
-            for i in ids:
-                self.agents[i].primal_update_w()
-            out = []
-            for i in ids:
-                a = self.agents[i]
-                w = _frozen(a.w)
-                for s, j in enumerate(a.neighbors):
-                    out.append(Message(i, j, self.round, phase, KIND_COPY, w[s]))
-            return self._deliver(out)
+            for a in agents:
+                a.primal_update_w()
+            return self._deliver(phase, {KIND_COPY: [a.w for a in agents]})
         if phase == PHASE_DUAL:
-            for i in ids:
-                self.agents[i].dual_update()
+            for a in agents:
+                a.dual_update()
             return []
         raise ValueError(f"unknown phase {phase}")
 

@@ -78,32 +78,12 @@ def stationarity_residual(p: ProxProblem, v) -> float:
     return float(np.linalg.norm(p.A.T @ (p.A @ v) + v / nv - p.A.T @ p.b))
 
 
-def lambda_max(gram: np.ndarray, tol: float = 1e-10, max_iters: int = 10_000) -> float:
-    """Largest eigenvalue of a PSD matrix by power iteration."""
-    n = gram.shape[0]
-    if n == 1:
-        return float(gram[0, 0])
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iters):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v_new = w / nw
-        lam_new = float(v_new @ (gram @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        v, lam = v_new, lam_new
-    return lam
-
-
 def _smooth_setup(p: ProxProblem):
     """Gram matrix, gradient target g = A^T b, Lipschitz bound, norm floor."""
     gram = p.A.T @ p.A
     g = p.A.T @ p.b
     ng = float(np.linalg.norm(g))
-    lmax = lambda_max(gram)
+    lmax = float(np.linalg.eigvalsh(gram)[-1])
     # stationarity implies ||v*|| >= (||g|| - 1)/lmax; stay at half that
     r_floor = (ng - 1.0) / (2.0 * lmax)
     L = lmax + 1.0 / r_floor

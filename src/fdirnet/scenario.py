@@ -31,6 +31,7 @@ the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,11 @@ def _require(cond, msg):
         raise ScenarioError(msg)
 
 
+def _finite(v) -> bool:
+    """v is a finite int or float (YAML's true/false and .nan/.inf are not)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(doc, dict), "document must be a mapping")
     d = doc.get("dimension")
@@ -127,11 +133,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _require(isinstance(aid, int), f"agents[{idx}].id: must be an integer")
         _require(aid not in by_id, f"agents[{idx}].id: duplicate id {aid}")
         ts = a.get("true_state")
-        _require(isinstance(ts, list) and len(ts) == d,
-                 f"agents[{idx}].true_state: needs {d} numbers")
+        _require(isinstance(ts, list) and len(ts) == d and all(map(_finite, ts)),
+                 f"agents[{idx}].true_state: needs {d} finite numbers")
         rs = a.get("reported_state", ts)
-        _require(isinstance(rs, list) and len(rs) == d,
-                 f"agents[{idx}].reported_state: needs {d} numbers")
+        _require(isinstance(rs, list) and len(rs) == d and all(map(_finite, rs)),
+                 f"agents[{idx}].reported_state: needs {d} finite numbers")
         by_id[aid] = (np.array(ts, dtype=float), np.array(rs, dtype=float))
     agent_ids = tuple(sorted(by_id))
     index_of = {aid: k for k, aid in enumerate(agent_ids)}
@@ -154,11 +160,12 @@ def scenario_from_dict(doc: dict) -> Scenario:
             _require(m in index_of, f"edges[{l}].members: unknown agent id {m}")
         _require(len(members) == kind.arity,
                  f"edges[{l}].members: {kind.value} needs {kind.arity} members")
-        sigma = float(e.get("sigma", 0.0))
-        _require(sigma >= 0, f"edges[{l}].sigma: must be non-negative")
+        sigma = e.get("sigma", 0.0)
+        _require(_finite(sigma) and sigma >= 0,
+                 f"edges[{l}].sigma: must be a finite non-negative number")
         edges.append(tuple(index_of[m] for m in members))
         kinds.append(kind)
-        sigmas.append(sigma)
+        sigmas.append(float(sigma))
 
     solver = doc.get("solver") or {}
     _require(isinstance(solver, dict), "solver: must be a mapping")

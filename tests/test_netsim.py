@@ -10,11 +10,11 @@ from fdirnet.netsim import (
     KIND_XBAR,
     PHASE_COPY,
     PHASE_XBAR,
-    Message,
     dump_trace_csv,
     message_stats,
 )
 from fdirnet.solver import build_network
+from fdirnet.topology import build_tables
 
 from conftest import geometric_positions, path_distance_stack
 
@@ -38,6 +38,7 @@ def test_phase1_message_counts(rng):
     delivered = net.run_phase(PHASE_XBAR)
     kinds = sorted(m.kind for m in delivered)
     assert kinds == sorted([KIND_XBAR, KIND_XBAR, KIND_MU, KIND_MU])
+    assert all(not m.payload.flags.writeable for m in delivered)
 
 
 def test_isolated_agent_sends_nothing(rng):
@@ -54,7 +55,7 @@ def test_isolated_agent_sends_nothing(rng):
 def test_messages_per_iteration_counting(rng):
     net, stack = make_net(rng, n=5, record_trace=True)
     net.run_iteration()
-    tables = net.tables
+    tables = build_tables(stack.graph)
     per_kind = {KIND_XBAR: 0, KIND_MU: 0, KIND_COPY: 0}
     for m in net.trace:
         per_kind[m.kind] += 1
@@ -63,28 +64,84 @@ def test_messages_per_iteration_counting(rng):
                         KIND_COPY: total_nbr}
 
 
+def honest_sends(net, phase):
+    """The send blocks ``run_phase`` hands to delivery, captured instead of
+    delivered."""
+    captured = {}
+    net._deliver = lambda ph, sends: captured.update(sends) or []
+    net.run_phase(phase)
+    del net._deliver
+    return captured
+
+
 def test_non_neighbor_send_rejected(rng):
+    # agent 0 of the path has one neighbor; a second row would be a send
+    # addressed past its neighbors
     net, _ = make_net(rng, n=4)
-    bad = Message(0, 3, 0, PHASE_XBAR, KIND_XBAR, np.zeros(2))
+    sends = honest_sends(net, PHASE_XBAR)
+    blocks = list(sends[KIND_XBAR])
+    blocks[0] = np.vstack([blocks[0], np.zeros((1, 2))])
     with pytest.raises(ProtocolViolation):
-        net._deliver([bad])
+        net._deliver(PHASE_XBAR, {**sends, KIND_XBAR: blocks})
 
 
 @pytest.mark.parametrize("phase", [PHASE_XBAR, PHASE_COPY])
 def test_undelivered_slot_rejected(rng, phase):
-    # a phase whose messages leave any (receiver, neighbor, kind) slot
-    # unwritten is a protocol violation, as is one that sends nothing
+    # a phase that drops any (receiver, neighbor, kind) row, leaves out a
+    # kind, sends an unknown one or sends nothing is a protocol violation
     net, _ = make_net(rng, n=4)
     if phase == PHASE_COPY:
         net.run_phase(PHASE_XBAR)
-    sent = net.run_phase(phase)
-    assert all(not m.payload.flags.writeable for m in sent)
-    for dropped in (sent[1:], sent[:-1], []):
+    sends = honest_sends(net, phase)
+    kind = sorted(sends)[0]
+    assert net._deliver(phase, sends) == []  # the honest sends deliver
+    for dropped in (slice(1, None), slice(None, -1)):
+        blocks = list(sends[kind])
+        blocks[1] = blocks[1][dropped]  # agent 1 has two neighbors
         with pytest.raises(ProtocolViolation):
-            net._deliver(list(dropped))
-    unknown = Message(0, 1, 0, phase, "bogus", np.zeros(2))
-    with pytest.raises(ProtocolViolation):
-        net._deliver(sent + [unknown])
+            net._deliver(phase, {**sends, kind: blocks})
+    bad = [{k: v for k, v in sends.items() if k != kind},  # a missing kind
+           {**sends, "bogus": sends[kind]},  # an unknown kind
+           {}]
+    for tampered in bad:
+        with pytest.raises(ProtocolViolation):
+            net._deliver(phase, tampered)
+
+
+def test_routing_matches_per_slot_reads(rng, monkeypatch):
+    # arity-3 edges and uneven degrees: agent 5 has one neighbor, agent 2
+    # has four
+    from fdirnet import netsim
+    from fdirnet.measurements import MeasurementKind as K, MeasurementStack
+    from fdirnet.topology import Hypergraph
+
+    def no_message(*args, **kwargs):
+        raise AssertionError("a Message was built without record_trace")
+
+    monkeypatch.setattr(netsim, "Message", no_message)
+    graph = Hypergraph(6, ((0, 1), (1, 2, 3), (2, 3, 4), (0, 2), (4, 5)),
+                       (K.DISTANCE, K.TDOA, K.SUBTENDED_ANGLE, K.BEARING,
+                        K.DISPLACEMENT))
+    stack = MeasurementStack(graph, 2)
+    p_true = BlockVec.from_blocks(geometric_positions(rng, 6, 2, min_sep=1.0))
+    p_hat = p_true.copy()
+    p_hat.block(3)[:] += [0.5, -0.3]
+    # a random x* makes every agent's xbar its own, nonzero block
+    x_star = BlockVec(p_hat.structure, rng.normal(scale=0.1, size=12))
+    net = build_network(stack, p_hat, eval_stack(stack, p_true), x_star, rho=1.0)
+    assert net.route.dtype == np.intp
+    assert sorted(len(a.neighbors) for a in net.agents.values()) == [1, 2, 3, 3, 3, 4]
+    net.run_iteration()  # nonzero duals and copies
+    for phase, checks in ((PHASE_XBAR, (("nbr_xbar", None), ("nbr_mu", "mu"))),
+                          (PHASE_COPY, (("nbr_copy_of_me", "w"),))):
+        assert net.run_phase(phase) == []
+        for i, a in net.agents.items():
+            for s, j in enumerate(a.neighbors):
+                b = net.agents[j]
+                for slots, sent in checks:
+                    want = b.x_bar if sent is None else getattr(b, sent)[b.neighbors.index(i)]
+                    assert np.any(want != 0.0)
+                    assert np.array_equal(getattr(a, slots)[s], want)
 
 
 def test_determinism_bit_identical(rng):

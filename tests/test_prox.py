@@ -6,7 +6,6 @@ from fdirnet.prox import (
     ProxCase,
     ProxProblem,
     objective,
-    lambda_max,
     solve_prox,
     stationarity_residual,
     zero_test,
@@ -53,14 +52,6 @@ def test_stationarity_residual_examples():
     assert stationarity_residual(p, [1.0]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         stationarity_residual(p, [0.0])
-
-
-def test_lambda_max_matches_eigvalsh(rng):
-    for _ in range(10):
-        A = rng.normal(size=(4, 3))
-        gram = A.T @ A
-        assert lambda_max(gram) == pytest.approx(
-            np.linalg.eigvalsh(gram).max(), rel=1e-8)
 
 
 def test_random_interior_optimality_probe(rng):

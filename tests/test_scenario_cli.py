@@ -75,6 +75,45 @@ def test_validation_errors_name_the_field(mutate, needle):
     assert needle in str(exc.value)
 
 
+NON_FINITE_OR_NON_NUMERIC = [
+    pytest.param("agents[1].reported_state", lambda d: d["agents"][1].update(
+        reported_state=[float("nan"), 0.0]), id="nan-reported"),
+    pytest.param("agents[1].reported_state", lambda d: d["agents"][1].update(
+        reported_state=[float("inf"), 0.0]), id="inf-reported"),
+    pytest.param("agents[1].reported_state", lambda d: d["agents"][1].update(
+        reported_state=["x", 0.0]), id="string-reported"),
+    pytest.param("agents[0].true_state", lambda d: d["agents"][0].update(
+        true_state=[0.0, float("-inf")]), id="inf-true"),
+    pytest.param("agents[2].true_state", lambda d: d["agents"][2].update(
+        true_state=[None, 5.0]), id="null-true"),
+    pytest.param("edges[1].sigma", lambda d: d["edges"][1].update(
+        sigma=float("inf")), id="inf-sigma"),
+    pytest.param("edges[1].sigma", lambda d: d["edges"][1].update(
+        sigma="x"), id="string-sigma"),
+]
+
+
+@pytest.mark.parametrize("needle,mutate", NON_FINITE_OR_NON_NUMERIC)
+def test_non_finite_or_non_numeric_input_rejected(needle, mutate):
+    doc = base_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert needle in str(exc.value)
+
+
+@pytest.mark.parametrize("needle,mutate", NON_FINITE_OR_NON_NUMERIC)
+def test_cli_non_finite_or_non_numeric_input(tmp_path, capsys, needle, mutate):
+    doc = base_doc()
+    mutate(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+
+
 def test_solver_overrides():
     doc = base_doc()
     doc["solver"] = {"rho": 2.5, "max_scp_iters": 7, "fault_tol": 0.01}
