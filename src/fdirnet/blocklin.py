@@ -6,6 +6,7 @@ All block indices are 0-based.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,7 +26,7 @@ class BlockStructure:
 
     @cached_property
     def offsets(self) -> tuple[int, ...]:
-        return tuple(np.concatenate([[0], np.cumsum(self.lengths)]).astype(int))
+        return tuple(itertools.accumulate(self.lengths, initial=0))
 
     @property
     def total(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -29,6 +30,9 @@ EXIT_DEGRADED = 2
 
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
+    for flag, value in (("--rho", args.rho), ("--max-outer", args.max_outer)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ScenarioError(f"{flag}: must be a finite positive number, got {value}")
     if args.seed is not None:
         scn.seed = args.seed
     if args.rho is not None:

@@ -11,12 +11,18 @@ Agent states are positions in R^d (d = 2 or 3). Supported models:
 
 Separations below EPS_DOM are treated as coincident positions and rejected,
 as the models and/or their derivatives degenerate there.
+
+Each model is defined once, in ``_model``: its value and its Jacobian come
+from the same separations, evaluated for all edges of one kind at a time.
+``eval_stack`` and ``jacobian_stack`` make one such call per kind present;
+``eval_edge`` and ``jacobian_edge`` are the same call on a one-edge batch.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,12 +51,45 @@ class MeasurementKind(enum.Enum):
         return 1
 
 
-def _separation(pi, pj, edge=None):
-    diff = pi - pj
-    dist = np.linalg.norm(diff)
-    if dist < EPS_DOM:
-        raise DomainViolation("coincident positions", edge=edge)
-    return diff, dist
+def _model(kind: MeasurementKind, P: np.ndarray, jac: bool = False):
+    """One model at the member states P (E x arity x d) of E edges: the values
+    (E x m) and, if jac, the Jacobian blocks (E x arity x m x d), both from the
+    same separations. DomainViolation names the first offending row of P."""
+    E, _, d = P.shape
+    if kind is MeasurementKind.DISPLACEMENT:
+        J = np.tile([np.eye(d), -np.eye(d)], (E, 1, 1, 1)) if jac else None
+        return P[:, 0] - P[:, 1], J
+    diff = P[:, :1] - P[:, 1:]  # p_i - p_j [, p_i - p_k]
+    dist = np.linalg.norm(diff, axis=2, keepdims=True)
+    u = diff / np.maximum(dist, EPS_DOM)  # the floor only keeps rejected rows finite
+    uj, uk, dj, dk = u[:, :1], u[:, -1:], dist[:, :1], dist[:, -1:]  # E x 1 x (d or 1)
+    c = np.sum(uj * uk, axis=2, keepdims=True)  # cosine of the subtended angle
+    coincident = dist.min(axis=(1, 2)) < EPS_DOM
+    bad = coincident | (jac and kind is MeasurementKind.SUBTENDED_ANGLE) \
+        & (np.abs(c.ravel()) >= 1.0 - EPS_DOM)  # arccos derivative singularity
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise DomainViolation("coincident positions" if coincident[e] else
+                              "subtended angle at arccos derivative singularity", edge=e)
+    y = (dj if kind is MeasurementKind.DISTANCE else
+         uj if kind is MeasurementKind.BEARING else
+         dj - dk if kind is MeasurementKind.TDOA else
+         np.arccos(np.clip(c, -1.0, 1.0)))
+    if not jac:
+        return y.reshape(E, -1), None
+    if kind is MeasurementKind.DISTANCE:
+        J = [uj, -uj]
+    elif kind is MeasurementKind.BEARING:
+        proj = (np.eye(d) - np.swapaxes(uj, 1, 2) * uj) / dj
+        J = [proj, -proj]
+    elif kind is MeasurementKind.TDOA:
+        J = [uj - uk, -uj, uk]
+    else:
+        # dc/dp_j = -(u_ik - c u_ij) / d_ij, likewise for p_k; theta = arccos(c)
+        a, b = (uk - c * uj) / dj, (uj - c * uk) / dk
+        scale = -1.0 / np.sqrt(1.0 - c * c)
+        J = [scale * (a + b), -scale * a, -scale * b]
+    return y.reshape(E, -1), np.stack(J, axis=1)
 
 
 def eval_edge(kind: MeasurementKind, d: int, states) -> np.ndarray:
@@ -60,68 +99,13 @@ def eval_edge(kind: MeasurementKind, d: int, states) -> np.ndarray:
         raise ValueError(f"{kind.value} takes {kind.arity} states, got {len(states)}")
     if any(s.shape != (d,) for s in states):
         raise ValueError(f"states must have length {d}")
-
-    if kind is MeasurementKind.DISPLACEMENT:
-        return states[0] - states[1]
-    if kind is MeasurementKind.DISTANCE:
-        _, dist = _separation(states[0], states[1])
-        return np.array([dist])
-    if kind is MeasurementKind.BEARING:
-        diff, dist = _separation(states[0], states[1])
-        return diff / dist
-    if kind is MeasurementKind.TDOA:
-        _, dij = _separation(states[0], states[1])
-        _, dik = _separation(states[0], states[2])
-        return np.array([dij - dik])
-    # subtended angle
-    dj, dij = _separation(states[0], states[1])
-    dk, dik = _separation(states[0], states[2])
-    c = float(np.dot(dj / dij, dk / dik))
-    return np.array([np.arccos(np.clip(c, -1.0, 1.0))])
+    return _model(kind, np.array(states)[None])[0][0]
 
 
 def jacobian_edge(kind: MeasurementKind, d: int, states) -> list[np.ndarray]:
     """Analytic Jacobian blocks of one model, ordered like the member states."""
-    states = [np.asarray(s, dtype=float) for s in states]
-    eye = np.eye(d)
-
-    if kind is MeasurementKind.DISPLACEMENT:
-        return [eye, -eye]
-    if kind is MeasurementKind.DISTANCE:
-        diff, dist = _separation(states[0], states[1])
-        u = (diff / dist).reshape(1, d)
-        return [u, -u]
-    if kind is MeasurementKind.BEARING:
-        diff, dist = _separation(states[0], states[1])
-        u = diff / dist
-        proj = (eye - np.outer(u, u)) / dist
-        return [proj, -proj]
-    if kind is MeasurementKind.TDOA:
-        dj, dij = _separation(states[0], states[1])
-        dk, dik = _separation(states[0], states[2])
-        uij = (dj / dij).reshape(1, d)
-        uik = (dk / dik).reshape(1, d)
-        return [uij - uik, -uij, uik]
-    # subtended angle: theta = arccos(u_ij . u_ik)
-    dj, dij = _separation(states[0], states[1])
-    dk, dik = _separation(states[0], states[2])
-    uij = dj / dij
-    uik = dk / dik
-    c = float(np.dot(uij, uik))
-    if abs(c) >= 1.0 - EPS_DOM:
-        raise DomainViolation("subtended angle at arccos derivative singularity")
-    proj_ij = (np.eye(d) - np.outer(uij, uij)) / dij
-    proj_ik = (np.eye(d) - np.outer(uik, uik)) / dik
-    # rows of dc/dp; chain through -1/sqrt(1-c^2)
-    dc_di = uik @ proj_ij + uij @ proj_ik
-    dc_dj = -(uik @ proj_ij)
-    dc_dk = -(uij @ proj_ik)
-    scale = -1.0 / np.sqrt(1.0 - c * c)
-    return [
-        (scale * dc_di).reshape(1, d),
-        (scale * dc_dj).reshape(1, d),
-        (scale * dc_dk).reshape(1, d),
-    ]
+    P = np.asarray(states, dtype=float).reshape(1, -1, d)
+    return list(_model(kind, P, jac=True)[1][0])
 
 
 @dataclass(frozen=True)
@@ -146,45 +130,60 @@ class MeasurementStack:
                     f"edge {l}: {kind.value} needs {kind.arity} members, got {len(e)}"
                 )
 
-    @property
+    @cached_property
     def row_structure(self) -> BlockStructure:
-        return BlockStructure(
-            tuple(k.output_dim(self.d) for k in self.graph.kinds)
-        )
+        return BlockStructure(tuple(k.output_dim(self.d) for k in self.graph.kinds))
 
-    @property
+    @cached_property
     def col_structure(self) -> BlockStructure:
         return BlockStructure((self.d,) * self.graph.num_vertices)
 
-    def _members_states(self, l: int, p: BlockVec):
-        return [p.block(i) for i in self.graph.edges[l]]
+    @cached_property
+    def _groups(self) -> tuple:
+        """Per kind: (kind, edges, members (E x arity), rows (E x m), block keys)."""
+        g, offsets = self.graph, self.row_structure.offsets
+        groups = []
+        for kind in dict.fromkeys(g.kinds):
+            ls = [l for l, k in enumerate(g.kinds) if k is kind]
+            rows = np.add.outer([offsets[l] for l in ls], range(kind.output_dim(self.d)))
+            groups.append((kind, np.array(ls), np.array([g.edges[l] for l in ls]), rows,
+                           [(l, i) for l in ls for i in g.edges[l]]))
+        return tuple(groups)
+
+    @cached_property
+    def _block_keys(self) -> tuple:  # edges ascending, then members in edge order
+        return tuple((l, i) for l, e in enumerate(self.graph.edges) for i in e)
+
+
+def _eval_kinds(stack: MeasurementStack, p: BlockVec, jac: bool) -> list:
+    """(group, values, blocks or None) per kind; errors name the lowest edge."""
+    states = p.data.reshape(-1, stack.d)
+    out, errors = [], []
+    for group in stack._groups:
+        try:
+            out.append((group, *_model(group[0], states[group[2]], jac)))
+        except DomainViolation as exc:
+            errors.append((int(group[1][exc.edge]), str(exc)))
+    if errors:
+        l, msg = min(errors)
+        raise DomainViolation(msg, edge=l)
+    return out
 
 
 def eval_stack(stack: MeasurementStack, p: BlockVec) -> BlockVec:
     """y = Phi(p); raises DomainViolation with the offending edge index."""
     out = BlockVec(stack.row_structure)
-    for l in range(stack.graph.num_edges):
-        try:
-            out.block(l)[:] = eval_edge(
-                stack.graph.kinds[l], stack.d, stack._members_states(l, p)
-            )
-        except DomainViolation as exc:
-            raise DomainViolation(str(exc), edge=l) from exc
+    for (_, _, _, rows, _), y, _ in _eval_kinds(stack, p, jac=False):
+        out.data[rows] = y
     return out
 
 
 def jacobian_stack(stack: MeasurementStack, p: BlockVec) -> BlockMat:
     """Block Jacobian R; block (l,i) is present iff agent i is in edge l."""
     R = BlockMat(stack.row_structure, stack.col_structure)
-    for l in range(stack.graph.num_edges):
-        try:
-            blocks = jacobian_edge(
-                stack.graph.kinds[l], stack.d, stack._members_states(l, p)
-            )
-        except DomainViolation as exc:
-            raise DomainViolation(str(exc), edge=l) from exc
-        for i, content in zip(stack.graph.edges[l], blocks):
-            R.set_block(l, i, content)
+    R.blocks = dict.fromkeys(stack._block_keys)
+    for (*_, keys), _, J in _eval_kinds(stack, p, jac=True):
+        R.blocks.update(zip(keys, J.reshape(-1, *J.shape[2:])))
     return R
 
 

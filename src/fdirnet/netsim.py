@@ -98,12 +98,12 @@ class Network:
         self.trace.extend(out)
         return out
 
-    def run_phase(self, phase: int, prox_tol: float = 1e-9) -> list[Message]:
+    def run_phase(self, phase: int) -> list[Message]:
         """Run one phase at every agent and deliver its sends."""
         agents = [self.agents[i] for i in sorted(self.agents)]
         if phase == PHASE_XBAR:
             for a in agents:
-                a.primal_update_x(tol=prox_tol)
+                a.primal_update_x()
             return self._deliver(phase, {
                 KIND_XBAR: [a.x_bar[None].repeat(len(a.neighbors), 0) for a in agents],
                 KIND_MU: [a.mu for a in agents]})
@@ -117,9 +117,9 @@ class Network:
             return []
         raise ValueError(f"unknown phase {phase}")
 
-    def run_iteration(self, prox_tol: float = 1e-9) -> None:
+    def run_iteration(self) -> None:
         for phase in (PHASE_XBAR, PHASE_COPY, PHASE_DUAL):
-            self.run_phase(phase, prox_tol=prox_tol)
+            self.run_phase(phase)
         self.round += 1
 
 

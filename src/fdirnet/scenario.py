@@ -157,7 +157,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         members = e.get("members")
         _require(isinstance(members, list), f"edges[{l}].members: must be a list")
         for m in members:
-            _require(m in index_of, f"edges[{l}].members: unknown agent id {m}")
+            _require(isinstance(m, int) and m in index_of,
+                     f"edges[{l}].members: unknown agent id {m}")
         _require(len(members) == kind.arity,
                  f"edges[{l}].members: {kind.value} needs {kind.arity} members")
         sigma = e.get("sigma", 0.0)
@@ -171,8 +172,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(solver, dict), "solver: must be a mapping")
     known = {"rho", "max_inner_iters", "tol_primal", "tol_dual",
              "max_scp_iters", "tol_step", "tol_meas", "fault_tol"}
-    for key in solver:
+    for key, v in solver.items():
         _require(key in known, f"solver.{key}: unknown option")
+        if key.startswith("max_"):
+            _require(isinstance(v, int) and not isinstance(v, bool) and v > 0,
+                     f"solver.{key}: must be a positive integer")
+        else:
+            _require(_finite(v) and v > 0, f"solver.{key}: must be a finite positive number")
     inner = InnerParams(
         rho=float(solver.get("rho", 1.0)),
         max_inner_iters=int(solver.get("max_inner_iters", 2000)),

@@ -28,7 +28,6 @@ class InnerParams:
     max_inner_iters: int = 2000
     tol_primal: float = 1e-6  # max constraint-violation norm
     tol_dual: float = 1e-6  # max change in xbar between iterations
-    prox_tol: float = 1e-9
 
     def __post_init__(self):
         if self.rho <= 0 or self.tol_primal <= 0 or self.tol_dual <= 0:
@@ -162,7 +161,7 @@ def inner_admm(network: Network, params: InnerParams):
     best_progress: list[float] = []
 
     for _ in range(params.max_inner_iters):
-        network.run_iteration(prox_tol=params.prox_tol)
+        network.run_iteration()
 
         max_c = max_d = 0.0
         obj = 0.0

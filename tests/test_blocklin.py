@@ -25,6 +25,12 @@ def test_structure_invariants():
         BlockStructure((2, 0))
 
 
+def test_offsets_are_plain_ints():
+    s = BlockStructure((2, 1, 3))
+    assert all(type(o) is int for o in s.offsets)
+    assert type(s.total) is int
+
+
 def test_blocks_concatenate_back():
     parts = [V.block(i) for i in range(3)]
     assert np.array_equal(np.concatenate(parts), V.data)

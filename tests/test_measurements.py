@@ -70,6 +70,94 @@ def test_eval_stack_reports_offending_edge():
     assert exc.value.edge == 1
 
 
+# kinds interleaved, member tuples unsorted; every agent in some edge
+INTERLEAVED = (
+    (MeasurementKind.TDOA, (3, 0, 2)),
+    (MeasurementKind.DISTANCE, (4, 1)),
+    (MeasurementKind.SUBTENDED_ANGLE, (2, 5, 0)),
+    (MeasurementKind.BEARING, (1, 3)),
+    (MeasurementKind.DISTANCE, (0, 5)),
+    (MeasurementKind.DISPLACEMENT, (5, 2)),
+    (MeasurementKind.SUBTENDED_ANGLE, (4, 3, 1)),
+    (MeasurementKind.BEARING, (2, 4)),
+    (MeasurementKind.TDOA, (1, 5, 4)),
+    (MeasurementKind.DISPLACEMENT, (0, 3)),
+)
+
+
+def reference_value(kind, members):
+    """Each model written out on its own, independent of the batched code."""
+    pi, pj, *rest = members
+    if kind is MeasurementKind.DISPLACEMENT:
+        return pi - pj
+    if kind is MeasurementKind.DISTANCE:
+        return [np.linalg.norm(pi - pj)]
+    if kind is MeasurementKind.BEARING:
+        return (pi - pj) / np.linalg.norm(pi - pj)
+    if kind is MeasurementKind.TDOA:
+        return [np.linalg.norm(pi - pj) - np.linalg.norm(pi - rest[0])]
+    a, b = pj - pi, rest[0] - pi
+    return [np.arccos(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_interleaved_stack_matches_per_edge_models(d, rng):
+    kinds, edges = zip(*INTERLEAVED)
+    stack = MeasurementStack(Hypergraph(6, edges, kinds), d)
+    for _ in range(5):
+        pts = geometric_positions(rng, 6, d, min_sep=0.8)
+        p = BlockVec.from_blocks(pts)
+        y = eval_stack(stack, p)
+        R = jacobian_stack(stack, p)
+        assert list(R.blocks) == [(l, i) for l, e in enumerate(edges) for i in e]
+        for l, (kind, e) in enumerate(INTERLEAVED):
+            members = [pts[i] for i in e]
+            assert np.allclose(y.block(l), eval_edge(kind, d, members),
+                               rtol=0, atol=1e-14)
+            assert np.allclose(y.block(l), reference_value(kind, members),
+                               rtol=0, atol=1e-12)
+            for i, block in zip(e, jacobian_edge(kind, d, members)):
+                assert np.allclose(R.blocks[(l, i)], block, rtol=0, atol=1e-14)
+        assert jacobian_fd_check(stack, p, step=1e-6) <= 1e-5
+
+
+@pytest.mark.parametrize("fn", [eval_stack, jacobian_stack])
+def test_stack_reports_lowest_offending_edge(fn):
+    # edges 1 (bearing) and 2 (distance) are both coincident; the distance
+    # kind appears first in the stack and first in the enum
+    g = Hypergraph(4, ((0, 1), (2, 3), (3, 2)),
+                   (MeasurementKind.DISTANCE, MeasurementKind.BEARING,
+                    MeasurementKind.DISTANCE))
+    p = BlockVec.from_blocks([[0, 0], [1, 0], [3, 1], [3, 1]])
+    with pytest.raises(DomainViolation, match="coincident") as exc:
+        fn(MeasurementStack(g, 2), p)
+    assert exc.value.edge == 1
+
+
+def test_collinear_subtended_angle_evaluates_but_has_no_jacobian():
+    A = MeasurementKind.SUBTENDED_ANGLE
+    p = BlockVec.from_blocks([[0, 0], [1, 0], [2, 0], [0, 2]])
+    g = Hypergraph(4, ((0, 3), (0, 1, 2), (1, 3)),
+                   (MeasurementKind.DISTANCE, A, MeasurementKind.BEARING))
+    stack = MeasurementStack(g, 2)
+    assert eval_stack(stack, p).block(1) == pytest.approx([0.0])
+    with pytest.raises(DomainViolation, match="arccos") as exc:
+        jacobian_stack(stack, p)
+    assert exc.value.edge == 1
+
+    # a later angle with coincident members (agents 1 and 4): the value
+    # path names it, the Jacobian path still names the lower, singular one
+    p = BlockVec.from_blocks([[0, 0], [1, 0], [2, 0], [0, 2], [1, 0]])
+    stack = MeasurementStack(
+        Hypergraph(5, ((0, 3), (0, 1, 2), (1, 4, 3)), (MeasurementKind.DISTANCE, A, A)), 2)
+    with pytest.raises(DomainViolation, match="coincident") as exc:
+        eval_stack(stack, p)
+    assert exc.value.edge == 2
+    with pytest.raises(DomainViolation, match="arccos") as exc:
+        jacobian_stack(stack, p)
+    assert exc.value.edge == 1
+
+
 def test_jacobian_trivial_blocks():
     blocks = jacobian_edge(MeasurementKind.DISTANCE, 2, [(0, 0), (3, 4)])
     assert np.allclose(blocks[0], [[-0.6, -0.8]])

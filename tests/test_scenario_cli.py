@@ -114,6 +114,57 @@ def test_cli_non_finite_or_non_numeric_input(tmp_path, capsys, needle, mutate):
     assert err.startswith("error:") and needle in err
 
 
+MALFORMED_OPTIONS = [
+    pytest.param("solver.rho", lambda d: d.update(solver={"rho": "abc"}),
+                 id="string-rho"),
+    pytest.param("solver.rho", lambda d: d.update(solver={"rho": -1}),
+                 id="negative-rho"),
+    pytest.param("solver.fault_tol", lambda d: d.update(solver={"fault_tol": "x"}),
+                 id="string-fault-tol"),
+    pytest.param("solver.max_scp_iters", lambda d: d.update(
+        solver={"max_scp_iters": 0}), id="zero-max-scp-iters"),
+    pytest.param("solver.max_inner_iters", lambda d: d.update(
+        solver={"max_inner_iters": 2.5}), id="float-max-inner-iters"),
+    pytest.param("edges[0].members", lambda d: d["edges"][0].update(
+        members=[[0], 1]), id="list-member"),
+]
+
+
+@pytest.mark.parametrize("needle,mutate", MALFORMED_OPTIONS)
+def test_malformed_options_rejected(needle, mutate):
+    doc = base_doc()
+    mutate(doc)
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert needle in str(exc.value)
+
+
+@pytest.mark.parametrize("needle,mutate", MALFORMED_OPTIONS)
+def test_cli_malformed_options(tmp_path, capsys, needle, mutate):
+    doc = base_doc()
+    mutate(doc)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--rho", "0"), ("--rho", "-1"), ("--rho", "nan"), ("--max-outer", "0"),
+])
+def test_cli_non_positive_override_rejected(tmp_path, capsys, flag, value):
+    # without the check, --max-outer 0 exits 0 and reports no faulty agent
+    # on a scenario with a planted fault, having never solved
+    code = main(["run", "--scenario", str(SCENARIOS / "circle_single_fault.yaml"),
+                 "--out", str(tmp_path / "out"), flag, value])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_solver_overrides():
     doc = base_doc()
     doc["solver"] = {"rho": 2.5, "max_scp_iters": 7, "fault_tol": 0.01}
