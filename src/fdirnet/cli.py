@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +29,22 @@ EXIT_ERROR = 1
 EXIT_DEGRADED = 2
 
 
+def _override(params, flag: str, **change):
+    """A copy of solver parameters with one change, checked by their class."""
+    try:
+        return replace(params, **change)
+    except ValueError as exc:
+        raise ScenarioError(f"{flag}: {exc}") from None
+
+
 def _apply_overrides(scn: Scenario, args) -> Scenario:
-    for flag, value in (("--rho", args.rho), ("--max-outer", args.max_outer)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ScenarioError(f"{flag}: must be a finite positive number, got {value}")
     if args.seed is not None:
         scn.seed = args.seed
     if args.rho is not None:
-        scn.inner_params.rho = args.rho
+        scn.inner_params = _override(scn.inner_params, "--rho", rho=args.rho)
     if args.max_outer is not None:
-        scn.outer_params.max_scp_iters = args.max_outer
+        scn.outer_params = _override(scn.outer_params, "--max-outer",
+                                     max_scp_iters=args.max_outer)
     return scn
 
 
@@ -110,11 +116,13 @@ def cmd_diagnose(scn: Scenario, quiet: bool) -> int:
 
 def cmd_sweep(scn: Scenario, out_dir: Path, values: list[float],
               quiet: bool) -> int:
+    # every value is checked before the first solve
+    sweep = [_override(scn.inner_params, "--values", rho=rho) for rho in values]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     degraded_any = False
-    for rho in values:
-        scn.inner_params.rho = rho
+    for params in sweep:
+        scn.inner_params = params
         result, report = _solve(scn)
         degraded_any = degraded_any or result.degraded
         total_updates = 0
@@ -124,7 +132,7 @@ def cmd_sweep(scn: Scenario, out_dir: Path, values: list[float],
                 total_updates += scn.num_agents
                 fast += row.fastpath_count
         rows.append({
-            "rho": rho,
+            "rho": params.rho,
             "outer_iters": result.outer_iters,
             "inner_iters": sum(len(r) for r in result.trace.inner),
             "num_identified": len(result.faults),
@@ -175,7 +183,10 @@ def main(argv=None) -> int:
             return cmd_run(scn, Path(args.out), args.quiet)
         if args.command == "diagnose":
             return cmd_diagnose(scn, args.quiet)
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip()]
+        except ValueError:
+            raise ScenarioError(f"--values: not a list of numbers: {args.values}") from None
         if not values:
             raise ScenarioError("--values: needs at least one number")
         return cmd_sweep(scn, Path(args.out), values, args.quiet)

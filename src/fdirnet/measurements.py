@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,10 +52,11 @@ class MeasurementKind(enum.Enum):
         return 1
 
 
-def _model(kind: MeasurementKind, P: np.ndarray, jac: bool = False):
+def _model(kind: MeasurementKind, P: np.ndarray, jac: bool = False, edges=None):
     """One model at the member states P (E x arity x d) of E edges: the values
     (E x m) and, if jac, the Jacobian blocks (E x arity x m x d), both from the
-    same separations. DomainViolation names the first offending row of P."""
+    same separations. A DomainViolation names the first offending row's entry
+    of ``edges``, or no edge when ``edges`` is None."""
     E, _, d = P.shape
     if kind is MeasurementKind.DISPLACEMENT:
         J = np.tile([np.eye(d), -np.eye(d)], (E, 1, 1, 1)) if jac else None
@@ -63,18 +65,24 @@ def _model(kind: MeasurementKind, P: np.ndarray, jac: bool = False):
     dist = np.linalg.norm(diff, axis=2, keepdims=True)
     u = diff / np.maximum(dist, EPS_DOM)  # the floor only keeps rejected rows finite
     uj, uk, dj, dk = u[:, :1], u[:, -1:], dist[:, :1], dist[:, -1:]  # E x 1 x (d or 1)
-    c = np.sum(uj * uk, axis=2, keepdims=True)  # cosine of the subtended angle
-    coincident = dist.min(axis=(1, 2)) < EPS_DOM
-    bad = coincident | (jac and kind is MeasurementKind.SUBTENDED_ANGLE) \
-        & (np.abs(c.ravel()) >= 1.0 - EPS_DOM)  # arccos derivative singularity
+    bad = coincident = dist.min(axis=(1, 2)) < EPS_DOM
+    if kind is MeasurementKind.SUBTENDED_ANGLE:
+        c = np.sum(uj * uk, axis=2, keepdims=True)  # cosine of the subtended angle
+        if jac:  # the arccos derivative is singular at c = +-1
+            bad = coincident | (np.abs(c.ravel()) >= 1.0 - EPS_DOM)
     if bad.any():
         e = int(np.argmax(bad))
         raise DomainViolation("coincident positions" if coincident[e] else
-                              "subtended angle at arccos derivative singularity", edge=e)
-    y = (dj if kind is MeasurementKind.DISTANCE else
-         uj if kind is MeasurementKind.BEARING else
-         dj - dk if kind is MeasurementKind.TDOA else
-         np.arccos(np.clip(c, -1.0, 1.0)))
+                              "subtended angle at arccos derivative singularity",
+                              edge=None if edges is None else int(edges[e]))
+    if kind is MeasurementKind.DISTANCE:
+        y = dj
+    elif kind is MeasurementKind.BEARING:
+        y = uj
+    elif kind is MeasurementKind.TDOA:
+        y = dj - dk
+    else:
+        y = np.arccos(np.clip(c, -1.0, 1.0))
     if not jac:
         return y.reshape(E, -1), None
     if kind is MeasurementKind.DISTANCE:
@@ -92,20 +100,25 @@ def _model(kind: MeasurementKind, P: np.ndarray, jac: bool = False):
     return y.reshape(E, -1), np.stack(J, axis=1)
 
 
-def eval_edge(kind: MeasurementKind, d: int, states) -> np.ndarray:
-    """Evaluate one measurement model at the given ordered member states."""
+def _one_edge(kind: MeasurementKind, d: int, states, jac: bool):
+    """_model on a one-edge batch, after checking the count and shapes of
+    its states."""
     states = [np.asarray(s, dtype=float) for s in states]
     if len(states) != kind.arity:
         raise ValueError(f"{kind.value} takes {kind.arity} states, got {len(states)}")
     if any(s.shape != (d,) for s in states):
         raise ValueError(f"states must have length {d}")
-    return _model(kind, np.array(states)[None])[0][0]
+    return _model(kind, np.array(states)[None], jac)
+
+
+def eval_edge(kind: MeasurementKind, d: int, states) -> np.ndarray:
+    """Evaluate one measurement model at the given ordered member states."""
+    return _one_edge(kind, d, states, jac=False)[0][0]
 
 
 def jacobian_edge(kind: MeasurementKind, d: int, states) -> list[np.ndarray]:
     """Analytic Jacobian blocks of one model, ordered like the member states."""
-    P = np.asarray(states, dtype=float).reshape(1, -1, d)
-    return list(_model(kind, P, jac=True)[1][0])
+    return list(_one_edge(kind, d, states, jac=True)[1][0])
 
 
 @dataclass(frozen=True)
@@ -132,7 +145,9 @@ class MeasurementStack:
 
     @cached_property
     def row_structure(self) -> BlockStructure:
-        return BlockStructure(tuple(k.output_dim(self.d) for k in self.graph.kinds))
+        return BlockStructure(
+            tuple(k.output_dim(self.d) for k in self.graph.kinds)
+        )
 
     @cached_property
     def col_structure(self) -> BlockStructure:
@@ -151,8 +166,9 @@ class MeasurementStack:
         return tuple(groups)
 
     @cached_property
-    def _block_keys(self) -> tuple:  # edges ascending, then members in edge order
-        return tuple((l, i) for l, e in enumerate(self.graph.edges) for i in e)
+    def _block_keys(self) -> tuple:
+        """The per-kind keys merged into edge order, members in edge order."""
+        return tuple(sorted((k for *_, keys in self._groups for k in keys), key=itemgetter(0)))
 
 
 def _eval_kinds(stack: MeasurementStack, p: BlockVec, jac: bool) -> list:
@@ -161,12 +177,11 @@ def _eval_kinds(stack: MeasurementStack, p: BlockVec, jac: bool) -> list:
     out, errors = [], []
     for group in stack._groups:
         try:
-            out.append((group, *_model(group[0], states[group[2]], jac)))
+            out.append((group, *_model(group[0], states[group[2]], jac, edges=group[1])))
         except DomainViolation as exc:
-            errors.append((int(group[1][exc.edge]), str(exc)))
+            errors.append(exc)
     if errors:
-        l, msg = min(errors)
-        raise DomainViolation(msg, edge=l)
+        raise min(errors, key=lambda exc: exc.edge)
     return out
 
 

@@ -31,15 +31,14 @@ the result.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
 
 from .blocklin import BlockVec
 from .measurements import MeasurementKind, MeasurementStack, eval_stack
-from .solver import InnerParams, OuterParams
+from .solver import InnerParams, OuterParams, is_finite_number
 from .topology import Hypergraph
 
 
@@ -112,11 +111,6 @@ def _require(cond, msg):
         raise ScenarioError(msg)
 
 
-def _finite(v) -> bool:
-    """v is a finite int or float (YAML's true/false and .nan/.inf are not)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-
-
 def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(doc, dict), "document must be a mapping")
     d = doc.get("dimension")
@@ -133,10 +127,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _require(isinstance(aid, int), f"agents[{idx}].id: must be an integer")
         _require(aid not in by_id, f"agents[{idx}].id: duplicate id {aid}")
         ts = a.get("true_state")
-        _require(isinstance(ts, list) and len(ts) == d and all(map(_finite, ts)),
+        _require(isinstance(ts, list) and len(ts) == d and all(map(is_finite_number, ts)),
                  f"agents[{idx}].true_state: needs {d} finite numbers")
         rs = a.get("reported_state", ts)
-        _require(isinstance(rs, list) and len(rs) == d and all(map(_finite, rs)),
+        _require(isinstance(rs, list) and len(rs) == d and all(map(is_finite_number, rs)),
                  f"agents[{idx}].reported_state: needs {d} finite numbers")
         by_id[aid] = (np.array(ts, dtype=float), np.array(rs, dtype=float))
     agent_ids = tuple(sorted(by_id))
@@ -162,7 +156,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _require(len(members) == kind.arity,
                  f"edges[{l}].members: {kind.value} needs {kind.arity} members")
         sigma = e.get("sigma", 0.0)
-        _require(_finite(sigma) and sigma >= 0,
+        _require(is_finite_number(sigma) and sigma >= 0,
                  f"edges[{l}].sigma: must be a finite non-negative number")
         edges.append(tuple(index_of[m] for m in members))
         kinds.append(kind)
@@ -170,28 +164,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     solver = doc.get("solver") or {}
     _require(isinstance(solver, dict), "solver: must be a mapping")
-    known = {"rho", "max_inner_iters", "tol_primal", "tol_dual",
-             "max_scp_iters", "tol_step", "tol_meas", "fault_tol"}
-    for key, v in solver.items():
-        _require(key in known, f"solver.{key}: unknown option")
-        if key.startswith("max_"):
-            _require(isinstance(v, int) and not isinstance(v, bool) and v > 0,
-                     f"solver.{key}: must be a positive integer")
-        else:
-            _require(_finite(v) and v > 0, f"solver.{key}: must be a finite positive number")
-    inner = InnerParams(
-        rho=float(solver.get("rho", 1.0)),
-        max_inner_iters=int(solver.get("max_inner_iters", 2000)),
-        tol_primal=float(solver.get("tol_primal", 1e-6)),
-        tol_dual=float(solver.get("tol_dual", 1e-6)),
-    )
-    outer = OuterParams(
-        max_scp_iters=int(solver.get("max_scp_iters", 20)),
-        tol_step=float(solver.get("tol_step", 1e-5)),
-        tol_meas=float(solver.get("tol_meas", 1e-6)),
-        fault_tol=(float(solver["fault_tol"])
-                   if "fault_tol" in solver else None),
-    )
+    inner_keys = {f.name for f in fields(InnerParams)}
+    outer_keys = {f.name for f in fields(OuterParams)}
+    for key in solver:
+        _require(key in inner_keys | outer_keys, f"solver.{key}: unknown option")
+    try:  # the parameter classes check the values
+        inner = InnerParams(**{k: v for k, v in solver.items() if k in inner_keys})
+        outer = OuterParams(**{k: v for k, v in solver.items() if k in outer_keys})
+    except ValueError as exc:
+        raise ScenarioError(f"solver.{exc}") from None
 
     graph = Hypergraph(num_vertices=len(agent_ids), edges=tuple(edges),
                        kinds=tuple(kinds))

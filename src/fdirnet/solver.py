@@ -10,6 +10,7 @@ Faulty agents are the blocks of x* with non-negligible norm.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,24 @@ from .netsim import Network
 from .topology import build_tables
 
 
+def is_finite_number(v) -> bool:
+    """v is a finite int or float (YAML's true/false and .nan/.inf are not)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_positive(params, ints: tuple[str, ...], reals: tuple[str, ...]) -> None:
+    """Each named field of params must be a positive int (``ints``) or a
+    finite positive number (``reals``)."""
+    for name in ints:
+        v = getattr(params, name)
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"{name}: must be a positive integer, got {v!r}")
+    for name in reals:
+        v = getattr(params, name)
+        if not is_finite_number(v) or v <= 0:
+            raise ValueError(f"{name}: must be a finite positive number, got {v!r}")
+
+
 @dataclass
 class InnerParams:
     rho: float = 1.0
@@ -30,8 +49,7 @@ class InnerParams:
     tol_dual: float = 1e-6  # max change in xbar between iterations
 
     def __post_init__(self):
-        if self.rho <= 0 or self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("rho and tolerances must be positive")
+        _check_positive(self, ("max_inner_iters",), ("rho", "tol_primal", "tol_dual"))
 
 
 @dataclass
@@ -42,8 +60,9 @@ class OuterParams:
     fault_tol: float | None = None  # None: 1e-3 * median block norm of p_hat
 
     def __post_init__(self):
-        if self.tol_step <= 0 or self.tol_meas <= 0:
-            raise ValueError("tolerances must be positive")
+        _check_positive(self, ("max_scp_iters",), ("tol_step", "tol_meas"))
+        if self.fault_tol is not None:
+            _check_positive(self, (), ("fault_tol",))
 
 
 @dataclass
@@ -227,12 +246,12 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
     trace = RunTrace()
 
     x_star = BlockVec(p_hat.structure)
+    p_point = p_hat  # the linearization point p_hat + x*
     network = None
     degraded = False
     meas_res = np.inf
 
     for outer_it in range(outer_params.max_scp_iters):
-        p_point = BlockVec(p_hat.structure, p_hat.data + x_star.data)
         try:
             if network is None:
                 network = build_network(stack, p_point, y, x_star,
@@ -251,10 +270,8 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
         trace.inner.append(rows)
 
         x_star = BlockVec(x_star.structure, x_star.data + xbar.data)
-        meas_res = float(np.linalg.norm(
-            y.data - eval_stack(stack, BlockVec(p_hat.structure,
-                                                p_hat.data + x_star.data)).data
-        ))
+        p_point = BlockVec(p_hat.structure, p_hat.data + x_star.data)
+        meas_res = float(np.linalg.norm(y.data - eval_stack(stack, p_point).data))
         trace.outer.append(OuterIterRow(
             meas_residual=meas_res,
             x_star_sparsity=block_sparsity(x_star, 1e-9),

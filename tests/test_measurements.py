@@ -42,6 +42,21 @@ def test_coincident_positions_rejected():
         jacobian_edge(MeasurementKind.BEARING, 2, [(0, 0), (0, 1e-12)])
 
 
+@pytest.mark.parametrize("fn", [eval_edge, jacobian_edge])
+def test_per_edge_functions_check_their_states(fn):
+    T = MeasurementKind.TDOA
+    with pytest.raises(ValueError, match="takes 3 states, got 2"):
+        fn(T, 2, [(0, 0), (1, 0)])
+    with pytest.raises(ValueError, match="takes 3 states, got 4"):
+        fn(T, 2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    with pytest.raises(ValueError, match="length 2"):
+        fn(T, 2, [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+    # a one-edge call names no stack edge
+    with pytest.raises(DomainViolation) as exc:
+        fn(MeasurementKind.DISTANCE, 2, [(1, 1), (1, 1)])
+    assert exc.value.edge is None
+
+
 def test_subtended_angle_singularity_rejected():
     # collinear members: arccos derivative blows up
     with pytest.raises(DomainViolation):

@@ -289,6 +289,15 @@ def test_cli_sweep_empty_values(tmp_path, capsys):
     assert code == EXIT_ERROR
 
 
+@pytest.mark.parametrize("values", ["abc", "0", "1.0,-1", "1.0,nan"])
+def test_cli_sweep_malformed_values(tmp_path, capsys, values):
+    code = main(["sweep", "--scenario", str(SCENARIOS / "mixed_chain_fault.yaml"),
+                 "--out", str(tmp_path / "out"), "--values", values])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: --values:")
+    assert not (tmp_path / "out").exists()  # rejected before the first solve
+
+
 def test_cli_rho_override_round_trips(tmp_path, capsys):
     # the override must reach the solver; a huge rho throttles the fast
     # path threshold yet the answer should still be found

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 from pathlib import Path
 
@@ -154,6 +155,25 @@ def test_invalid_params_rejected():
         InnerParams(tol_primal=-1.0)
     with pytest.raises(ValueError):
         OuterParams(tol_step=0.0)
+
+
+@pytest.mark.parametrize("cls,change", [
+    pytest.param(InnerParams, {"rho": float("nan")}, id="nan-rho"),
+    pytest.param(InnerParams, {"rho": "1"}, id="string-rho"),
+    pytest.param(InnerParams, {"tol_dual": True}, id="bool-tol-dual"),
+    pytest.param(InnerParams, {"max_inner_iters": 0}, id="zero-max-inner-iters"),
+    pytest.param(InnerParams, {"max_inner_iters": 10.0}, id="float-max-inner-iters"),
+    pytest.param(OuterParams, {"max_scp_iters": 0}, id="zero-max-scp-iters"),
+    pytest.param(OuterParams, {"tol_meas": float("inf")}, id="inf-tol-meas"),
+    pytest.param(OuterParams, {"fault_tol": -1e-3}, id="negative-fault-tol"),
+])
+def test_params_reject_malformed_values(cls, change):
+    # a zero iteration budget would return "no faults" without solving
+    (name, value), = change.items()
+    with pytest.raises(ValueError, match=f"^{name}: must be"):
+        cls(**change)
+    with pytest.raises(ValueError, match=f"^{name}: must be"):
+        dataclasses.replace(cls(), **change)
 
 
 # Trajectories recorded from the solver with per-edge dict state (before
