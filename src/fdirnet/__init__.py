@@ -30,8 +30,8 @@ from .measurements import (
     singular_values,
 )
 from .oracle import LinearizedProblem, brute_force_support, centralized_l21
-from .prox import ProxCase, ProxProblem, ProxSolution, objective, solve_prox, \
-    stationarity_residual, zero_test
+from .prox import ProxCase, ProxProblem, ProxSolution, objective, solve_exact, \
+    solve_prox, stationarity_residual, zero_test
 from .scenario import FaultReport, Scenario, load_scenario, scenario_from_dict
 from .solver import (
     InnerParams,

@@ -125,16 +125,13 @@ def cmd_sweep(scn: Scenario, out_dir: Path, values: list[float],
         scn.inner_params = params
         result, report = _solve(scn)
         degraded_any = degraded_any or result.degraded
-        total_updates = 0
-        fast = 0
-        for inner_rows in result.trace.inner:
-            for row in inner_rows:
-                total_updates += scn.num_agents
-                fast += row.fastpath_count
+        inner_iters = sum(len(r) for r in result.trace.inner)
+        total_updates = inner_iters * scn.num_agents
+        fast = sum(int(r.fastpath_count.sum()) for r in result.trace.inner)
         rows.append({
             "rho": params.rho,
             "outer_iters": result.outer_iters,
-            "inner_iters": sum(len(r) for r in result.trace.inner),
+            "inner_iters": inner_iters,
             "num_identified": len(result.faults),
             "reconstruction_error": report.max_block_error,
             "fastpath_fraction": fast / total_updates if total_updates else 0.0,

@@ -5,10 +5,16 @@ The minimizer splits into two cases:
   * ||A^T b|| <= 1  ->  v* = 0 (checked in closed form, no iterations), or
   * ||A^T b|| > 1   ->  v* != 0 and satisfies A^T A v* + v*/||v*|| = A^T b.
 
-In the second case the minimizer is bounded away from the non-differentiable
-origin, so Nesterov's accelerated gradient method applies on the region
-||v|| >= r_floor where f is smooth, giving O(1/t^2) instead of the O(1/sqrt t)
-of subgradient descent.
+Two solvers handle the second case:
+
+  * ``solve_exact`` (what the agents run) writes v = s (s G + I)^-1 g with
+    G = A^T A, g = A^T b and s = ||v||. One eigendecomposition G = Q L Q^T
+    turns this into the secular equation h(s) = ||(s L + I)^-1 Q^T g|| = 1
+    in the scalar s, solved by safeguarded Newton steps (More & Sorensen
+    1983). Its stationarity residual is exactly |h(s) - 1|.
+  * ``solve_prox``, the reference, runs Nesterov's accelerated gradient
+    method on the region ||v|| >= r_floor where f is smooth, the minimizer
+    being bounded away from the non-differentiable origin.
 """
 
 from __future__ import annotations
@@ -22,6 +28,9 @@ from .exceptions import ConvergenceFailure
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 50_000
+# Newton and bisection steps of solve_exact; bisection alone halves the
+# bracket each step, so this is far beyond what any solve takes
+DEFAULT_EXACT_STEPS = 60
 
 
 class ProxCase(enum.Enum):
@@ -162,3 +171,54 @@ def solve_prox(
         residual=stationarity_residual(p, best_v),
         iterations=max_iters,
     )
+
+
+def solve_exact(p: ProxProblem, tol: float = DEFAULT_TOL,
+                max_iters: int = DEFAULT_EXACT_STEPS) -> ProxSolution:
+    """Global minimizer of f via the case split and the secular equation.
+
+    h(s) falls monotonically from ||g|| at s = 0, and 1/h is concave in s,
+    so Newton steps on 1/h - 1 from s0 = (||g|| - 1)/lambda_max, where
+    h >= 1, climb to the root. Each step is kept inside the bracket
+    [lo, hi] that every evaluation narrows, and a step leaving it is
+    replaced by bisection. The loop stops once |h(s) - 1| <= tol, or after
+    max_iters steps; it then returns the best point found with its
+    directly computed stationarity residual, and never raises.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if zero_test(p):
+        return ProxSolution(np.zeros(p.n), ProxCase.ZERO, 0.0, 0)
+
+    lam, Q = np.linalg.eigh(p.A.T @ p.A)
+    lam = np.maximum(lam, 0.0)  # round-off can leave a null eigenvalue negative
+    g = p.A.T @ p.b
+    c = Q.T @ g
+    # h(lo) >= ||g||/(1 + lo lambda_max) = 1; and ||v*|| <= f(v*) < f(0), so
+    # the root lies below hi
+    s = lo = (float(np.linalg.norm(g)) - 1.0) / lam[-1]
+    hi = 0.5 * float(p.b @ p.b)
+    best = (np.inf, s, c)
+    steps = 0
+    while True:
+        q = c / (1.0 + s * lam)
+        h = float(np.linalg.norm(q))
+        if abs(h - 1.0) < best[0]:
+            best = (abs(h - 1.0), s, q)
+        if best[0] <= tol or steps == max_iters:
+            break
+        steps += 1
+        if h > 1.0:
+            lo = s
+        else:
+            hi = s
+        # -h h'(s), positive unless c has no weight on a nonzero eigenvalue
+        slope = float(np.dot(q * q, lam / (1.0 + s * lam)))
+        newton = s + h * h * (h - 1.0) / slope if slope > 0.0 else hi
+        s = newton if lo < newton < hi else 0.5 * (lo + hi)
+
+    gap, s, q = best
+    v = Q @ (s * q)
+    if gap > tol:
+        gap = stationarity_residual(p, v)
+    return ProxSolution(v, ProxCase.INTERIOR, gap, steps)

@@ -65,12 +65,10 @@ class OuterParams:
             _check_positive(self, (), ("fault_tol",))
 
 
-@dataclass
-class InnerIterRow:
-    max_c_norm: float
-    max_d_norm: float
-    l21_objective: float
-    fastpath_count: int
+# one inner round: largest violation norms, l2,1 objective of x* + xbar,
+# and how many agents took the x-update's fast path
+INNER_ROW = np.dtype([("max_c_norm", float), ("max_d_norm", float),
+                      ("l21_objective", float), ("fastpath_count", np.int64)])
 
 
 @dataclass
@@ -84,7 +82,7 @@ class OuterIterRow:
 
 @dataclass
 class RunTrace:
-    inner: list[list[InnerIterRow]] = field(default_factory=list)
+    inner: list[np.recarray] = field(default_factory=list)  # INNER_ROW per round
     outer: list[OuterIterRow] = field(default_factory=list)
 
     def dump_inner_csv(self, path, outer_iter: int) -> None:
@@ -139,14 +137,14 @@ def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
 
 
 def relinearize(network: Network, stack: MeasurementStack, p_point: BlockVec,
-                y: BlockVec, x_star: BlockVec) -> None:
-    """Refresh (J, r) and x* in place, keeping duals and copies warm.
+                resid: np.ndarray, x_star: BlockVec) -> None:
+    """Refresh (J, r) and x* in place, keeping duals and copies warm; resid
+    is y - Phi(p_point), which the outer loop has already evaluated.
 
     Copies approximate xhat blocks; since the absorbed xbar resets xhat to
     zero, every copy is shifted by the absorbed amount to stay consistent.
     """
     R = jacobian_stack(stack, p_point)
-    resid = y.data - eval_stack(stack, p_point).data
     for i, a in network.agents.items():
         _, a.J, a.r = _local_linearization(stack, R, resid, i, a.neighbors,
                                            a.incident)
@@ -168,13 +166,13 @@ def inner_admm(network: Network, params: InnerParams):
     bails out early with converged=False instead of burning the budget,
     since the outer loop will relinearize anyway.
 
-    Returns (xbar: BlockVec, rows: list[InnerIterRow], converged: bool,
-    stop), where stop says why the loop ended: "converged", "stalled" or
-    "budget".
+    Returns (xbar: BlockVec, rows, converged: bool, stop), where rows is
+    a record array of INNER_ROW, one per round, and stop says why the loop
+    ended: "converged", "stalled" or "budget".
     """
     agents = network.agents
     ids = sorted(agents)
-    rows: list[InnerIterRow] = []
+    rows: list[tuple] = []
     prev_xbar = {i: agents[i].x_bar.copy() for i in ids}
     stop = "budget"
     best_progress: list[float] = []
@@ -192,7 +190,7 @@ def inner_admm(network: Network, params: InnerParams):
             max_d = max(max_d, di)
             obj += float(np.linalg.norm(a.x_star + a.x_bar))
             fast += int(a.fast_path)
-        rows.append(InnerIterRow(max_c, max_d, obj, fast))
+        rows.append((max_c, max_d, obj, fast))
 
         dx = max(float(np.linalg.norm(agents[i].x_bar - prev_xbar[i])) for i in ids)
         prev_xbar = {i: agents[i].x_bar.copy() for i in ids}
@@ -209,7 +207,7 @@ def inner_admm(network: Network, params: InnerParams):
             break
 
     xbar = BlockVec.from_blocks([agents[i].x_bar for i in ids])
-    return xbar, rows, stop == "converged", stop
+    return xbar, np.rec.fromrecords(rows, dtype=INNER_ROW), stop == "converged", stop
 
 
 def identify_faults(x_star: BlockVec, fault_tol: float) -> frozenset:
@@ -258,7 +256,7 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
                                         inner_params.rho,
                                         record_trace=record_trace)
             else:
-                relinearize(network, stack, p_point, y, x_star)
+                relinearize(network, stack, p_point, resid, x_star)
         except DomainViolation as exc:
             raise DomainViolation(
                 f"iterate left measurement domain at outer iteration "
@@ -271,7 +269,8 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
 
         x_star = BlockVec(x_star.structure, x_star.data + xbar.data)
         p_point = BlockVec(p_hat.structure, p_hat.data + x_star.data)
-        meas_res = float(np.linalg.norm(y.data - eval_stack(stack, p_point).data))
+        resid = y.data - eval_stack(stack, p_point).data
+        meas_res = float(np.linalg.norm(resid))
         trace.outer.append(OuterIterRow(
             meas_residual=meas_res,
             x_star_sparsity=block_sparsity(x_star, 1e-9),

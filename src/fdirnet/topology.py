@@ -8,11 +8,7 @@ allowed (two sensors can measure the same quantity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -67,22 +63,22 @@ def build_tables(g: Hypergraph) -> NeighborTables:
 def validate_connectivity(g: Hypergraph) -> tuple[bool, list[list[int]]]:
     """Connectivity of the derived simple graph (pairs co-appearing in an edge).
 
-    Returns (connected, components). A disconnected network cannot reach
-    consensus across components, so callers should treat False as fatal for
-    end-to-end runs.
+    Returns (connected, components), each component an ascending vertex
+    list and the components ordered by their lowest vertex. A disconnected
+    network cannot reach consensus across components, so callers should
+    treat False as fatal for end-to-end runs.
     """
-    rows, cols = [], []
-    for e in g.edges:
-        for i in e:
-            for j in e:
-                if i != j:
-                    rows.append(i)
-                    cols.append(j)
-    adj = coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(g.num_vertices, g.num_vertices)
-    )
-    n_comp, labels = connected_components(adj, directed=False)
-    components = [
-        [int(v) for v in np.flatnonzero(labels == c)] for c in range(n_comp)
-    ]
-    return n_comp <= 1, components
+    neighbors = build_tables(g).neighbors
+    seen: set[int] = set()
+    components = []
+    for root in range(g.num_vertices):
+        if root in seen:
+            continue
+        comp, todo = {root}, [root]
+        while todo:
+            new = neighbors[todo.pop()] - comp
+            comp |= new
+            todo.extend(new)
+        seen |= comp
+        components.append(sorted(comp))
+    return len(components) <= 1, components

@@ -139,6 +139,21 @@ def test_primal_update_x_matches_direct_minimizer(rng):
             assert np.array_equal(xbar, -s.x_star)
 
 
+def test_x_update_calls_the_module_level_solve_prox(monkeypatch):
+    # benchmark tracing times the prox solves by wrapping agent.solve_prox,
+    # so the x-update must go through that name
+    import fdirnet.agent
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("solve_prox called")
+
+    monkeypatch.setattr(fdirnet.agent, "solve_prox", fail)
+    s = one_edge_state(np.eye(2), [3.0, -4.0], neighbors=())
+    assert s.residual_norm() > 1.0 / s.rho
+    with pytest.raises(RuntimeError, match="solve_prox called"):
+        s.primal_update_x()
+
+
 def test_primal_update_w_no_edges():
     # without incident-edge coupling the closed form is xbar[j] + mu_j^(i)
     s = one_edge_state(np.zeros((1, 4)), [0.0])

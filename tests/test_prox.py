@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdirnet.exceptions import ConvergenceFailure
 from fdirnet.prox import (
     ProxCase,
     ProxProblem,
     objective,
+    solve_exact,
     solve_prox,
     stationarity_residual,
     zero_test,
@@ -143,3 +146,64 @@ def test_invalid_inputs():
         ProxProblem([[np.inf]], [1.0])
     with pytest.raises(ValueError):
         solve_prox(ProxProblem([[1.0]], [3.0]), tol=0.0)
+    with pytest.raises(ValueError):
+        solve_exact(ProxProblem([[1.0]], [3.0]), tol=0.0)
+
+
+# ----- exact solve through the secular equation --------------------------
+
+def test_exact_solve_examples():
+    # the scalar and isotropic cases above, where s0 is already the root
+    sol = solve_exact(ProxProblem([[1.0]], [3.0]), tol=1e-12)
+    assert sol.case is ProxCase.INTERIOR
+    assert sol.v_star == pytest.approx([2.0], abs=1e-12)
+    sol = solve_exact(ProxProblem(2 * np.eye(2), [3.0, 4.0]), tol=1e-12)
+    assert sol.v_star == pytest.approx([1.35, 1.8], abs=1e-12)
+    sol = solve_exact(ProxProblem([[1.0]], [0.5]))
+    assert sol.case is ProxCase.ZERO and sol.iterations == 0
+    assert np.array_equal(sol.v_star, [0.0])
+
+
+def interior_problem(seed: int, kind: str) -> ProxProblem:
+    """A random problem with d <= 3 and ||A^T b|| > 1, of the given kind."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 4))
+    A = rng.normal(size=(int(rng.integers(1, 6)), d))
+    if kind == "rank_deficient":
+        A[:, -1] = rng.normal() * A[:, 0]
+    elif kind == "repeated":  # G = 2a^2 I, or 2a^2 diag(1, 1, 2.25) at d = 3
+        A = rng.uniform(0.5, 2.0) * np.vstack([np.eye(d), np.eye(d)])
+        A[:, 2:] *= 1.5
+    b = rng.normal(size=A.shape[0])
+    g = np.linalg.norm(A.T @ b)
+    if kind == "near_threshold":
+        target = 1.0 + 10 ** rng.uniform(-6, -2)
+    else:
+        target = rng.uniform(1.2, 20.0)
+    return ProxProblem(A, b * (target / g))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["generic", "rank_deficient", "repeated", "near_threshold"]))
+def test_exact_solve_matches_reference(seed, kind):
+    p = interior_problem(seed, kind)
+    if zero_test(p):  # rank deficiency can null A^T b
+        return
+    sol = solve_exact(p, tol=1e-12)
+    assert sol.case is ProxCase.INTERIOR
+    assert sol.stationarity_residual <= 1e-12
+    assert stationarity_residual(p, sol.v_star) <= 1e-10
+    ref = solve_prox(p, tol=1e-12)
+    assert np.linalg.norm(sol.v_star - ref.v_star) <= 1e-8
+
+
+def test_exact_solve_budget_returns_best_without_raising():
+    p = ProxProblem(np.array([[2.0, 0.3], [0.1, 0.5]]), np.array([3.0, -4.0]))
+    full = solve_exact(p, tol=1e-14)
+    assert full.iterations > 1
+    capped = solve_exact(p, tol=1e-14, max_iters=1)
+    assert capped.iterations == 1
+    assert capped.stationarity_residual == pytest.approx(
+        stationarity_residual(p, capped.v_star), rel=1e-12)
+    assert capped.stationarity_residual > full.stationarity_residual

@@ -1,4 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import fdirnet
 
 from fdirnet.topology import Hypergraph, build_tables, validate_connectivity
 
@@ -64,3 +70,22 @@ def test_connectivity():
     assert sorted(map(sorted, comps)) == [[0, 1], [2, 3]]
     ok, comps = validate_connectivity(Hypergraph(1, ()))
     assert ok and comps == [[0]]
+
+
+def test_connectivity_hyperedges_duplicates_and_isolated_vertex():
+    # a 3-member edge joins all three; the duplicate edge adds nothing;
+    # vertices 0 and 2 are isolated; components come ordered by lowest vertex
+    g = Hypergraph(7, ((5, 1, 3), (4, 6), (6, 4), (1, 5)))
+    ok, comps = validate_connectivity(g)
+    assert not ok
+    assert comps == [[0], [1, 3, 5], [2], [4, 6]]
+    assert validate_connectivity(Hypergraph(0, ())) == (True, [])
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(fdirnet.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import fdirnet; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
