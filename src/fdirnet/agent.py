@@ -17,7 +17,9 @@ degree. With k neighbors and blocks of length d:
   * slots: ``mu``, ``w``, ``nbr_xbar``, ``nbr_mu`` and ``nbr_copy_of_me``
     are (k x d), row s belonging to neighbor ``neighbors[s]``.
 
-``x_star``, ``J`` and ``r`` change once per linearization. The round state
+``x_star``, ``J`` and ``r`` change once per linearization, and the agent
+takes each one itself (``relinearize``), checking its shape and forming the
+w-update's matrix H = I + J_n^T J_n once for it. The round state
 (``lam_rows``, ``x_bar`` and the five slot arrays) is rewritten in place.
 
 Local constraint functions, with r the linearized measurement residual
@@ -69,6 +71,7 @@ class AgentState:
     rows: tuple[int, ...]  # row offsets of each incident edge, len(incident) + 1
     J: np.ndarray  # local Jacobian, see the module docstring
     r: np.ndarray  # linearized residual per row
+    H: np.ndarray = field(init=False)  # I + J_n^T J_n, J_n the neighbor columns
 
     lam_rows: np.ndarray = field(init=False)  # scaled edge dual per row
     mu: np.ndarray = field(init=False)  # scaled consensus dual per slot
@@ -87,19 +90,35 @@ class AgentState:
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        self.x_star = np.asarray(self.x_star, dtype=float).copy()
-        self.J = np.asarray(self.J, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
-        m, k, d = self.rows[-1], len(self.neighbors), self.n_i
-        if self.J.shape != (m, (1 + k) * d) or self.r.shape != (m,):
-            raise ValueError(f"J {self.J.shape} and r {self.r.shape} do not fit "
-                             f"{m} rows and {k} neighbors")
+        self._take_linearization(self.J, self.r, self.x_star)
         # the round state shares one buffer and the updates write it in place;
         # at round 0 everything is zero, the copies too (xhat starts at 0)
+        m, k, d = self.rows[-1], len(self.neighbors), self.n_i
         state = np.zeros(m + d + 5 * k * d)
         self.lam_rows, self.x_bar = state[:m], state[m:m + d]
         (self.mu, self.w, self.nbr_xbar, self.nbr_mu,
          self.nbr_copy_of_me) = state[m + d:].reshape(5, k, d)
+
+    def _take_linearization(self, J, r, x_star) -> None:
+        """Store (J, r) and a copy of x*, check their shapes and form H."""
+        self.x_star = np.array(x_star, dtype=float)
+        self.J = np.asarray(J, dtype=float)
+        self.r = np.asarray(r, dtype=float)
+        m, k, d = self.rows[-1], len(self.neighbors), self.n_i
+        if self.J.shape != (m, (1 + k) * d) or self.r.shape != (m,):
+            raise ValueError(f"J {self.J.shape} and r {self.r.shape} do not fit "
+                             f"{m} rows and {k} neighbors")
+        Jn = self.J[:, d:]
+        self.H = Jn.T @ Jn + np.eye(Jn.shape[1])
+
+    def relinearize(self, J, r, x_star) -> None:
+        """Take the linearization at a new point, keeping duals and copies
+        warm: x* has absorbed xbar, which resets xhat to zero, so every copy
+        is shifted by the absorbed amount to stay consistent."""
+        self.w -= self.nbr_xbar
+        self.nbr_copy_of_me -= self.x_bar
+        self.x_bar[:] = 0.0
+        self._take_linearization(J, r, x_star)
 
     @property
     def n_i(self) -> int:
@@ -139,32 +158,39 @@ class AgentState:
 
     # ----- x-update ---------------------------------------------------
 
-    def assemble_local_problem(self) -> ProxProblem:
-        """The subproblem in the variable v = x*[i] + xhat_i."""
+    def _adjusted_violations(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c_i + lam, d_i + mu) at xhat_i = -x*[i]: the x-update's data."""
+        xhat = -self.x_star
+        return self._c(xhat) + self.lam_rows, self._d(xhat) + self.mu
+
+    def _problem(self, e, f) -> ProxProblem:
         if not len(self.r) and not self.neighbors:
             # isolated agent: only the norm term remains, minimizer v = 0
             return ProxProblem(np.zeros((1, self.n_i)), np.zeros(1))
         sq = np.sqrt(self.rho)
         eyes = np.tile(np.eye(self.n_i), (len(self.neighbors), 1))
         A = np.vstack([self.J[:, :self.n_i], eyes])
-        b = np.concatenate([self._c(-self.x_star) + self.lam_rows,
-                            (self._d(-self.x_star) + self.mu).ravel()])
-        return ProxProblem(sq * A, -sq * b)
+        return ProxProblem(sq * A, -sq * np.concatenate([e, f.ravel()]))
+
+    def _residual(self, e, f) -> float:
+        return float(np.linalg.norm(self.J[:, :self.n_i].T @ e + f.sum(axis=0)))
+
+    def assemble_local_problem(self) -> ProxProblem:
+        """The subproblem in the variable v = x*[i] + xhat_i."""
+        return self._problem(*self._adjusted_violations())
 
     def residual_norm(self) -> float:
         """Norm of the dual-adjusted aggregated violations; equals
         ||A_i^T b_i|| / rho, so the fast path fires iff this is <= 1/rho."""
-        acc = self.J[:, :self.n_i].T @ (self._c(-self.x_star) + self.lam_rows)
-        acc += (self._d(-self.x_star) + self.mu).sum(axis=0)
-        return float(np.linalg.norm(acc))
+        return self._residual(*self._adjusted_violations())
 
     def primal_update_x(self, tol: float = 1e-9) -> np.ndarray:
-        if self.residual_norm() <= 1.0 / self.rho:
-            self.fast_path = True
+        e, f = self._adjusted_violations()
+        self.fast_path = self._residual(e, f) <= 1.0 / self.rho
+        if self.fast_path:
             np.negative(self.x_star, out=self.x_bar)
         else:
-            self.fast_path = False
-            sol = solve_prox(self.assemble_local_problem(), tol=tol)
+            sol = solve_prox(self._problem(e, f), tol=tol)
             np.subtract(sol.v_star, self.x_star, out=self.x_bar)
         return self.x_bar
 
@@ -176,16 +202,15 @@ class AgentState:
             ||c_i(xbar_i, w) + lam||^2 + sum_j ||xbar[j] - w[j] + mu_j^(i)||^2
 
         With J_n the neighbor columns of J, the normal equations are
-        (I + J_n^T J_n) w = xbar + mu - J_n^T (c_i(xbar_i, 0) + lam); the
-        identity makes them positive definite, so a dense solve is exact.
+        H w = xbar + mu - J_n^T (c_i(xbar_i, 0) + lam), with H = I + J_n^T J_n
+        formed once per linearization; the identity makes H positive
+        definite, so a dense solve is exact.
         """
         if not self.neighbors:
             return self.w
-        Jn = self.J[:, self.n_i:]
-        H = Jn.T @ Jn + np.eye(Jn.shape[1])
         const = self.J[:, :self.n_i] @ self.x_bar - self.r + self.lam_rows
-        rhs = (self.nbr_xbar + self.nbr_mu).ravel() - Jn.T @ const
-        self.w[:] = np.linalg.solve(H, rhs).reshape(self.w.shape)
+        rhs = (self.nbr_xbar + self.nbr_mu).ravel() - self.J[:, self.n_i:].T @ const
+        self.w[:] = np.linalg.solve(self.H, rhs).reshape(self.w.shape)
         return self.w
 
     # ----- dual update ------------------------------------------------

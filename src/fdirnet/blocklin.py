@@ -139,15 +139,6 @@ class BlockMat:
             )
         self.blocks[(l, i)] = content
 
-    def get_block(self, l: int, i: int) -> np.ndarray:
-        """Block content; zeros if absent."""
-        try:
-            return self.blocks[(l, i)]
-        except KeyError:
-            return np.zeros(
-                (self.row_structure.lengths[l], self.col_structure.lengths[i])
-            )
-
     def apply(self, v: BlockVec) -> BlockVec:
         if v.structure.lengths != self.col_structure.lengths:
             raise ValueError("column structure mismatch")

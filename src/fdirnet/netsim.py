@@ -30,7 +30,6 @@ import numpy as np
 
 from .agent import AgentState
 from .exceptions import ProtocolViolation
-from .topology import NeighborTables
 
 PHASE_XBAR = 1
 PHASE_COPY = 2
@@ -58,25 +57,26 @@ class Message:
 class Network:
     """A set of agents plus the sole communication channel between them."""
 
-    def __init__(self, agents: dict[int, AgentState], tables: NeighborTables,
-                 record_trace: bool = False):
-        self.agents = agents
+    def __init__(self, agents: list[AgentState], record_trace: bool = False):
+        if any(a.i != i for i, a in enumerate(agents)):
+            raise ValueError("agents must be listed by id, from 0")
+        self.ordered = agents
+        self.agents = {a.i: a for a in agents}
         self.record_trace = record_trace
         self.trace: list[Message] = []
         self.round = 0
         # slot rows of all agents in id order; route[q] is the sender row
         # feeding receiver row q: "i's slot for j" <- "j's slot for i"
-        nbrs = [sorted(s) for s in tables.neighbors]
-        self.bounds = np.cumsum([0] + [len(s) for s in nbrs]).tolist()
-        self.route = np.array([self.bounds[j] + nbrs[j].index(i)
-                               for i, s in enumerate(nbrs) for j in s], dtype=np.intp)
+        self.bounds = np.cumsum([0] + [len(a.neighbors) for a in agents]).tolist()
+        self.route = np.array([self.bounds[j] + agents[j].neighbors.index(a.i)
+                               for a in agents for j in a.neighbors], dtype=np.intp)
 
     def _deliver(self, phase: int, sends: dict[str, list[np.ndarray]]) -> list[Message]:
         """Route each kind's send blocks, one per agent in id order."""
         kinds = sorted(PHASE_KINDS.get(phase, ()))
         if sorted(sends) != kinds:
             raise ProtocolViolation(f"phase {phase} sent kinds {sorted(sends)}, not {kinds}")
-        agents = [self.agents[i] for i in sorted(self.agents)]
+        agents = self.ordered
         sent = {}
         for kind, blocks in sends.items():
             slots = [getattr(a, SLOT_ARRAYS[kind]) for a in agents]
@@ -100,7 +100,7 @@ class Network:
 
     def run_phase(self, phase: int) -> list[Message]:
         """Run one phase at every agent and deliver its sends."""
-        agents = [self.agents[i] for i in sorted(self.agents)]
+        agents = self.ordered
         if phase == PHASE_XBAR:
             for a in agents:
                 a.primal_update_x()

@@ -113,7 +113,7 @@ def _local_linearization(stack: MeasurementStack, R: BlockMat, resid: np.ndarray
     J = np.zeros((rows[-1], d * (len(neighbors) + 1)))
     for e, l in enumerate(incident):
         for j in stack.graph.edges[l]:
-            J[rows[e]:rows[e + 1], col[j]:col[j] + d] = R.get_block(l, j)
+            J[rows[e]:rows[e + 1], col[j]:col[j] + d] = R.blocks[(l, j)]
     r = resid[[q for l in incident for q in range(offsets[l], offsets[l + 1])]]
     return tuple(rows), J, r
 
@@ -125,33 +125,25 @@ def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
     tables = build_tables(stack.graph)
     R = jacobian_stack(stack, p_point)
     resid = y.data - eval_stack(stack, p_point).data
-    agents: dict[int, AgentState] = {}
+    agents = []
     for i in range(stack.graph.num_vertices):
         nbrs = tuple(sorted(tables.neighbors[i]))
         rows, J, r = _local_linearization(stack, R, resid, i, nbrs,
                                           tables.incident[i])
-        agents[i] = AgentState(i=i, rho=rho, x_star=x_star.block(i),
-                               neighbors=nbrs, incident=tables.incident[i],
-                               rows=rows, J=J, r=r)
-    return Network(agents, tables, record_trace=record_trace)
+        agents.append(AgentState(i=i, rho=rho, x_star=x_star.block(i),
+                                 neighbors=nbrs, incident=tables.incident[i],
+                                 rows=rows, J=J, r=r))
+    return Network(agents, record_trace=record_trace)
 
 
 def relinearize(network: Network, stack: MeasurementStack, p_point: BlockVec,
                 resid: np.ndarray, x_star: BlockVec) -> None:
-    """Refresh (J, r) and x* in place, keeping duals and copies warm; resid
-    is y - Phi(p_point), which the outer loop has already evaluated.
-
-    Copies approximate xhat blocks; since the absorbed xbar resets xhat to
-    zero, every copy is shifted by the absorbed amount to stay consistent.
-    """
+    """Hand every agent the linearization at p_point and the absorbed x*;
+    resid is y - Phi(p_point), which the outer loop has already evaluated."""
     R = jacobian_stack(stack, p_point)
-    for i, a in network.agents.items():
-        _, a.J, a.r = _local_linearization(stack, R, resid, i, a.neighbors,
-                                           a.incident)
-        a.w -= a.nbr_xbar
-        a.nbr_copy_of_me -= a.x_bar
-        a.x_star = x_star.block(i).copy()
-        a.x_bar[:] = 0.0
+    for a in network.ordered:
+        _, J, r = _local_linearization(stack, R, resid, a.i, a.neighbors, a.incident)
+        a.relinearize(J, r, x_star.block(a.i))
 
 
 STALL_WINDOW = 200
@@ -170,30 +162,23 @@ def inner_admm(network: Network, params: InnerParams):
     a record array of INNER_ROW, one per round, and stop says why the loop
     ended: "converged", "stalled" or "budget".
     """
-    agents = network.agents
-    ids = sorted(agents)
+    agents = network.ordered
+    x_star = np.array([a.x_star for a in agents])
+    xbar = np.array([a.x_bar for a in agents])
     rows: list[tuple] = []
-    prev_xbar = {i: agents[i].x_bar.copy() for i in ids}
     stop = "budget"
     best_progress: list[float] = []
 
     for _ in range(params.max_inner_iters):
         network.run_iteration()
 
-        max_c = max_d = 0.0
-        obj = 0.0
-        fast = 0
-        for i in ids:
-            a = agents[i]
-            ci, di = a.violation_norms()
-            max_c = max(max_c, ci)
-            max_d = max(max_d, di)
-            obj += float(np.linalg.norm(a.x_star + a.x_bar))
-            fast += int(a.fast_path)
-        rows.append((max_c, max_d, obj, fast))
+        prev_xbar, xbar = xbar, np.array([a.x_bar for a in agents])
+        max_c, max_d = np.array([a.violation_norms() for a in agents]).max(
+            axis=0, initial=0.0).tolist()
+        rows.append((max_c, max_d, np.linalg.norm(x_star + xbar, axis=1).sum(),
+                     sum(a.fast_path for a in agents)))
 
-        dx = max(float(np.linalg.norm(agents[i].x_bar - prev_xbar[i])) for i in ids)
-        prev_xbar = {i: agents[i].x_bar.copy() for i in ids}
+        dx = float(np.linalg.norm(xbar - prev_xbar, axis=1).max())
         if max_c <= params.tol_primal and max_d <= params.tol_primal \
                 and dx <= params.tol_dual:
             stop = "converged"
@@ -206,8 +191,8 @@ def inner_admm(network: Network, params: InnerParams):
             stop = "stalled"
             break
 
-    xbar = BlockVec.from_blocks([agents[i].x_bar for i in ids])
-    return xbar, np.rec.fromrecords(rows, dtype=INNER_ROW), stop == "converged", stop
+    return (BlockVec.from_blocks(xbar), np.rec.fromrecords(rows, dtype=INNER_ROW),
+            stop == "converged", stop)
 
 
 def identify_faults(x_star: BlockVec, fault_tol: float) -> frozenset:
@@ -232,8 +217,7 @@ class SolveResult:
 
 def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
               inner_params: InnerParams | None = None,
-              outer_params: OuterParams | None = None,
-              record_trace: bool = False) -> SolveResult:
+              outer_params: OuterParams | None = None) -> SolveResult:
     """Full SCP+ADMM solve from the reported states and measurements.
 
     The solver only ever sees (p_hat, y, topology); true states exist only
@@ -253,8 +237,7 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
         try:
             if network is None:
                 network = build_network(stack, p_point, y, x_star,
-                                        inner_params.rho,
-                                        record_trace=record_trace)
+                                        inner_params.rho)
             else:
                 relinearize(network, stack, p_point, resid, x_star)
         except DomainViolation as exc:

@@ -56,6 +56,26 @@ def test_packed_shapes_checked():
         one_edge_state([[0.6, 0.8]], [0.0])  # no columns for neighbor 1
 
 
+def test_relinearize_shifts_copies_and_keeps_a_copy_of_x_star(rng):
+    s = random_agent_state(rng)
+    s.x_bar[:] = rng.normal(size=s.n_i)
+    w0, copies0, absorbed = s.w.copy(), s.nbr_copy_of_me.copy(), s.x_bar.copy()
+    J, r, x_new = rng.normal(size=s.J.shape), rng.normal(size=s.r.shape), rng.normal(size=2)
+    s.relinearize(J, r, x_new)
+    # my copies lose what each neighbor absorbed, theirs of me what I did
+    assert np.array_equal(s.w, w0 - s.nbr_xbar)
+    assert np.array_equal(s.nbr_copy_of_me, copies0 - absorbed)
+    assert not s.x_bar.any()
+    assert np.array_equal(s.J, J) and np.array_equal(s.r, r)
+    assert np.array_equal(s.x_star, x_new) and not np.shares_memory(s.x_star, x_new)
+
+
+def test_relinearize_rejects_a_jacobian_of_the_wrong_width(rng):
+    s = random_agent_state(rng)
+    with pytest.raises(ValueError, match="do not fit"):
+        s.relinearize(s.J[:, 1:], s.r, s.x_star)
+
+
 def test_assemble_shapes_and_quiescent_case(rng):
     s = random_agent_state(rng)
     p = s.assemble_local_problem()

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fdirnet.agent import AgentState
 from fdirnet.blocklin import BlockVec
 from fdirnet.measurements import MeasurementKind, MeasurementStack, eval_stack
+from fdirnet.netsim import PHASE_XBAR
 from fdirnet.scenario import load_scenario
 from fdirnet.solver import (
     InnerParams,
@@ -16,6 +18,7 @@ from fdirnet.solver import (
     identify_faults,
     inner_admm,
     outer_scp,
+    relinearize,
 )
 from fdirnet.topology import Hypergraph
 
@@ -93,6 +96,44 @@ def test_inner_fixed_point_thresholding_consistency(rng):
         assert a.fast_path == (a.residual_norm() <= 1.0 / a.rho)
         if i != 1:
             assert a.fast_path
+
+
+def test_inner_rows_match_per_agent_reference(rng):
+    # the round statistics are taken from stacked arrays; the last row must
+    # agree with a loop over the agents' own state after that round
+    stack = all_pairs_distance_stack(5)
+    p_true, p_hat, y = planted_scenario(rng, stack, {1: [0.5, 0.5]})
+    x_star = BlockVec(p_hat.structure, rng.normal(scale=0.1, size=10))
+    net = build_network(stack, p_hat, y, x_star, rho=1.0)
+    xbar, rows, _, _ = inner_admm(net, InnerParams(max_inner_iters=7))
+    last = rows[-1]
+    assert len(rows) == 7
+    assert last.max_c_norm == max(a.violation_norms()[0] for a in net.ordered)
+    assert last.max_d_norm == max(a.violation_norms()[1] for a in net.ordered)
+    assert last.fastpath_count == sum(a.fast_path for a in net.ordered)
+    assert last.l21_objective == pytest.approx(
+        sum(np.linalg.norm(a.x_star + a.x_bar) for a in net.ordered), rel=1e-14)
+    assert np.array_equal(xbar.data, np.concatenate([a.x_bar for a in net.ordered]))
+
+
+def test_relinearized_w_update_matches_a_fresh_agent(rng):
+    # after relinearize, each agent's w-update bit-equals that of an agent
+    # built fresh from the same linearization and round state, so nothing
+    # it keeps per linearization (H) is stale
+    stack = all_pairs_distance_stack(5)
+    p_true, p_hat, y = planted_scenario(rng, stack, {1: [0.5, 0.5]})
+    net = build_network(stack, p_hat, y, BlockVec(p_hat.structure), rho=1.0)
+    x_star = inner_admm(net, InnerParams(max_inner_iters=20))[0]
+    p_point = BlockVec(p_hat.structure, p_hat.data + x_star.data)
+    relinearize(net, stack, p_point, y.data - eval_stack(stack, p_point).data, x_star)
+    net.run_phase(PHASE_XBAR)
+    for a in net.ordered:
+        fresh = AgentState(i=a.i, rho=a.rho, x_star=a.x_star, neighbors=a.neighbors,
+                           incident=a.incident, rows=a.rows, J=a.J, r=a.r)
+        for name in ("lam_rows", "x_bar", "mu", "w", "nbr_xbar", "nbr_mu",
+                     "nbr_copy_of_me"):
+            getattr(fresh, name)[:] = getattr(a, name)
+        assert np.array_equal(fresh.primal_update_w(), a.primal_update_w())
 
 
 def test_inner_trace_rows_and_csv(tmp_path, rng):
