@@ -18,9 +18,20 @@ degree. With k neighbors and blocks of length d:
     are (k x d), row s belonging to neighbor ``neighbors[s]``.
 
 ``x_star``, ``J`` and ``r`` change once per linearization, and the agent
-takes each one itself (``relinearize``), checking its shape and forming the
-w-update's matrix H = I + J_n^T J_n once for it. The round state
-(``lam_rows``, ``x_bar`` and the five slot arrays) is rewritten in place.
+takes each one itself (``relinearize``), checking its shape. Two operators
+are fixed for a whole linearization, so each is formed once for it and
+dropped at the next one:
+
+  * the w-update's inverse H^-1 = (I + J_n^T J_n)^-1, formed when the
+    linearization is taken, so that each w-update is one matrix-vector
+    product;
+  * the x-update's prox matrix A with the eigendecomposition of A^T A,
+    formed on the first x-update that misses the fast path; later ones
+    build and check only the new right-hand side. An agent that always
+    takes the fast path never forms it.
+
+The round state (``lam_rows``, ``x_bar`` and the five slot arrays) is
+rewritten in place.
 
 Local constraint functions, with r the linearized measurement residual
 and J the Jacobian at the current linearization point:
@@ -43,6 +54,7 @@ solves the subproblem exactly through its secular equation
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -71,7 +83,10 @@ class AgentState:
     rows: tuple[int, ...]  # row offsets of each incident edge, len(incident) + 1
     J: np.ndarray  # local Jacobian, see the module docstring
     r: np.ndarray  # linearized residual per row
-    H: np.ndarray = field(init=False)  # I + J_n^T J_n, J_n the neighbor columns
+    H_inv: np.ndarray = field(init=False)  # (I + J_n^T J_n)^-1, J_n the neighbor columns
+    # the x-update's last prox problem (its A depends on J and rho only), None
+    # until the first one of a linearization
+    prox: ProxProblem | None = field(init=False, default=None)
 
     lam_rows: np.ndarray = field(init=False)  # scaled edge dual per row
     mu: np.ndarray = field(init=False)  # scaled consensus dual per slot
@@ -100,7 +115,8 @@ class AgentState:
          self.nbr_copy_of_me) = state[m + d:].reshape(5, k, d)
 
     def _take_linearization(self, J, r, x_star) -> None:
-        """Store (J, r) and a copy of x*, check their shapes and form H."""
+        """Store (J, r) and a copy of x*, check their shapes, form H^-1 and
+        drop the prox problem of the previous linearization."""
         self.x_star = np.array(x_star, dtype=float)
         self.J = np.asarray(J, dtype=float)
         self.r = np.asarray(r, dtype=float)
@@ -109,7 +125,10 @@ class AgentState:
             raise ValueError(f"J {self.J.shape} and r {self.r.shape} do not fit "
                              f"{m} rows and {k} neighbors")
         Jn = self.J[:, d:]
-        self.H = Jn.T @ Jn + np.eye(Jn.shape[1])
+        H = Jn.T @ Jn
+        H.flat[::H.shape[0] + 1] += 1.0  # H = I + J_n^T J_n
+        self.H_inv = np.linalg.inv(H)
+        self.prox = None
 
     def relinearize(self, J, r, x_star) -> None:
         """Take the linearization at a new point, keeping duals and copies
@@ -164,16 +183,21 @@ class AgentState:
         return self._c(xhat) + self.lam_rows, self._d(xhat) + self.mu
 
     def _problem(self, e, f) -> ProxProblem:
-        if not len(self.r) and not self.neighbors:
-            # isolated agent: only the norm term remains, minimizer v = 0
-            return ProxProblem(np.zeros((1, self.n_i)), np.zeros(1))
+        """The prox problem for (e, f); A is built and checked on the first
+        call of a linearization and shared by the later ones."""
         sq = np.sqrt(self.rho)
-        eyes = np.tile(np.eye(self.n_i), (len(self.neighbors), 1))
-        A = np.vstack([self.J[:, :self.n_i], eyes])
-        return ProxProblem(sq * A, -sq * np.concatenate([e, f.ravel()]))
+        b = -sq * np.concatenate([e, f.ravel()])
+        if self.prox is None:
+            # an isolated agent gets a 0-row A: only the norm term remains
+            eyes = np.tile(np.eye(self.n_i), (len(self.neighbors), 1))
+            self.prox = ProxProblem(sq * np.vstack([self.J[:, :self.n_i], eyes]), b)
+        else:
+            self.prox = self.prox.with_rhs(b)
+        return self.prox
 
     def _residual(self, e, f) -> float:
-        return float(np.linalg.norm(self.J[:, :self.n_i].T @ e + f.sum(axis=0)))
+        v = self.J[:, :self.n_i].T @ e + f.sum(axis=0)
+        return math.sqrt(v @ v)
 
     def assemble_local_problem(self) -> ProxProblem:
         """The subproblem in the variable v = x*[i] + xhat_i."""
@@ -202,15 +226,16 @@ class AgentState:
             ||c_i(xbar_i, w) + lam||^2 + sum_j ||xbar[j] - w[j] + mu_j^(i)||^2
 
         With J_n the neighbor columns of J, the normal equations are
-        H w = xbar + mu - J_n^T (c_i(xbar_i, 0) + lam), with H = I + J_n^T J_n
-        formed once per linearization; the identity makes H positive
-        definite, so a dense solve is exact.
+        H w = xbar + mu - J_n^T (c_i(xbar_i, 0) + lam), with H = I + J_n^T J_n;
+        the identity puts every eigenvalue of H at 1 or above, so H is
+        invertible, and its inverse, formed once per linearization, gives w
+        as one product.
         """
         if not self.neighbors:
             return self.w
         const = self.J[:, :self.n_i] @ self.x_bar - self.r + self.lam_rows
         rhs = (self.nbr_xbar + self.nbr_mu).ravel() - self.J[:, self.n_i:].T @ const
-        self.w[:] = np.linalg.solve(self.H, rhs).reshape(self.w.shape)
+        self.w[:] = (self.H_inv @ rhs).reshape(self.w.shape)
         return self.w
 
     # ----- dual update ------------------------------------------------

@@ -11,7 +11,9 @@ Two solvers handle the second case:
     G = A^T A, g = A^T b and s = ||v||. One eigendecomposition G = Q L Q^T
     turns this into the secular equation h(s) = ||(s L + I)^-1 Q^T g|| = 1
     in the scalar s, solved by safeguarded Newton steps (More & Sorensen
-    1983). Its stationarity residual is exactly |h(s) - 1|.
+    1983). Its stationarity residual is exactly |h(s) - 1|. A problem keeps
+    the eigendecomposition once formed, and ``with_rhs`` hands it on to
+    problems with the same A, which then cost a few vector operations.
   * ``solve_prox``, the reference, runs Nesterov's accelerated gradient
     method on the region ||v|| >= r_floor where f is smooth, the minimizer
     being bounded away from the non-differentiable origin.
@@ -20,6 +22,7 @@ Two solvers handle the second case:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,24 +41,54 @@ class ProxCase(enum.Enum):
     INTERIOR = "interior"
 
 
+def _checked_rhs(A: np.ndarray, b) -> np.ndarray:
+    """b as a float vector, checked against the already checked A."""
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if b.ndim != 1 or A.shape[0] != b.shape[0]:
+        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("non-finite entries")
+    return b
+
+
 @dataclass(frozen=True)
 class ProxProblem:
     A: np.ndarray
     b: np.ndarray
+    # (eigenvalues clipped at 0, eigenvectors) of A^T A, formed on first use
+    _gram_eig: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
-            raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if A.ndim != 2:
+            raise ValueError(f"shape mismatch: A {A.shape}")
+        if not np.all(np.isfinite(A)):
             raise ValueError("non-finite entries")
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", _checked_rhs(A, self.b))
 
     @property
     def n(self) -> int:
         return self.A.shape[1]
+
+    def with_rhs(self, b) -> ProxProblem:
+        """The problem with this A and a new b. Only b is checked; A and its
+        Gram eigendecomposition, if formed, are shared, not copied."""
+        p = object.__new__(ProxProblem)
+        object.__setattr__(p, "A", self.A)
+        object.__setattr__(p, "b", _checked_rhs(self.A, b))
+        object.__setattr__(p, "_gram_eig", self._gram_eig)
+        return p
+
+    def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, Q) with A^T A = Q diag(lam) Q^T, formed on the first call and
+        kept; problems made from this one by ``with_rhs`` afterwards share it."""
+        if self._gram_eig is None:
+            lam, Q = np.linalg.eigh(self.A.T @ self.A)
+            # round-off can leave a null eigenvalue negative
+            object.__setattr__(self, "_gram_eig", (np.maximum(lam, 0.0), Q))
+        return self._gram_eig
 
 
 @dataclass
@@ -187,22 +220,22 @@ def solve_exact(p: ProxProblem, tol: float = DEFAULT_TOL,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if zero_test(p):
+    g = p.A.T @ p.b
+    ng = math.sqrt(g @ g)  # ||g||, as zero_test computes it
+    if ng <= 1.0:
         return ProxSolution(np.zeros(p.n), ProxCase.ZERO, 0.0, 0)
 
-    lam, Q = np.linalg.eigh(p.A.T @ p.A)
-    lam = np.maximum(lam, 0.0)  # round-off can leave a null eigenvalue negative
-    g = p.A.T @ p.b
+    lam, Q = p.gram_eig()
     c = Q.T @ g
     # h(lo) >= ||g||/(1 + lo lambda_max) = 1; and ||v*|| <= f(v*) < f(0), so
     # the root lies below hi
-    s = lo = (float(np.linalg.norm(g)) - 1.0) / lam[-1]
+    s = lo = (ng - 1.0) / lam[-1]
     hi = 0.5 * float(p.b @ p.b)
     best = (np.inf, s, c)
     steps = 0
     while True:
         q = c / (1.0 + s * lam)
-        h = float(np.linalg.norm(q))
+        h = math.sqrt(q @ q)
         if abs(h - 1.0) < best[0]:
             best = (abs(h - 1.0), s, q)
         if best[0] <= tol or steps == max_iters:

@@ -104,18 +104,21 @@ def _local_linearization(stack: MeasurementStack, R: BlockMat, resid: np.ndarray
     """Agent i's packed rows of the linearization: (row offsets, J, r), in
     the layout of the agent module (edges ascending, columns [self | neighbors])."""
     d = stack.d
-    col = {j: d * (s + 1) for s, j in enumerate(neighbors)}
+    col = {j: d * s for s, j in enumerate(neighbors, 1)}
     col[i] = 0
     offsets = R.row_structure.offsets
-    rows = [0]
+    edges, blocks = stack.graph.edges, R.blocks
+    gather, rows = [], [0]  # rows of resid, in the agent's order
     for l in incident:
-        rows.append(rows[-1] + offsets[l + 1] - offsets[l])
+        gather.extend(range(offsets[l], offsets[l + 1]))
+        rows.append(len(gather))
     J = np.zeros((rows[-1], d * (len(neighbors) + 1)))
     for e, l in enumerate(incident):
-        for j in stack.graph.edges[l]:
-            J[rows[e]:rows[e + 1], col[j]:col[j] + d] = R.blocks[(l, j)]
-    r = resid[[q for l in incident for q in range(offsets[l], offsets[l + 1])]]
-    return tuple(rows), J, r
+        agent_rows = slice(rows[e], rows[e + 1])
+        for j in edges[l]:
+            c = col[j]
+            J[agent_rows, c:c + d] = blocks[l, j]
+    return tuple(rows), J, resid[gather]
 
 
 def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,

@@ -174,6 +174,30 @@ def test_x_update_calls_the_module_level_solve_prox(monkeypatch):
         s.primal_update_x()
 
 
+@pytest.mark.parametrize("dual", ["lam_rows", "mu"])
+def test_non_finite_dual_rejected_once_the_prox_matrix_is_kept(dual):
+    # the second prox call of a linearization reuses A and checks only b
+    s = simple_state()
+    s.mu[:] = 3.0
+    s.primal_update_x()
+    assert not s.fast_path and s.prox is not None
+    getattr(s, dual)[0] = np.nan
+    with pytest.raises(ValueError, match="non-finite entries"):
+        s.primal_update_x()
+
+
+def test_non_finite_jacobian_rejected_on_the_first_prox_call():
+    s = simple_state()
+    s.mu[:] = 3.0
+    s.primal_update_x()
+    J = s.J.copy()
+    J[0, 0] = np.nan
+    s.relinearize(J, s.r, s.x_star)
+    s.mu[:] = 3.0
+    with pytest.raises(ValueError, match="non-finite entries"):
+        s.primal_update_x()
+
+
 def test_primal_update_w_no_edges():
     # without incident-edge coupling the closed form is xbar[j] + mu_j^(i)
     s = one_edge_state(np.zeros((1, 4)), [0.0])

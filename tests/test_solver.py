@@ -134,6 +134,46 @@ def test_relinearized_w_update_matches_a_fresh_agent(rng):
                      "nbr_copy_of_me"):
             getattr(fresh, name)[:] = getattr(a, name)
         assert np.array_equal(fresh.primal_update_w(), a.primal_update_w())
+        # the product with the stored inverse is the solve against this H
+        d = a.n_i
+        Jn = a.J[:, d:]
+        rhs = ((a.nbr_xbar + a.nbr_mu).ravel()
+               - Jn.T @ (a.J[:, :d] @ a.x_bar - a.r + a.lam_rows))
+        direct = np.linalg.solve(np.eye(Jn.shape[1]) + Jn.T @ Jn, rhs)
+        assert np.max(np.abs(a.w.ravel() - direct)) <= 1e-12
+
+
+def force_prox(a: AgentState) -> np.ndarray:
+    """An x-update that misses the fast path: the consensus duals are
+    raised until the residual is far above the threshold."""
+    a.mu += 10.0
+    xbar = a.primal_update_x()
+    assert not a.fast_path
+    return xbar
+
+
+def test_relinearized_x_update_matches_a_fresh_agent(rng):
+    # an agent keeps its prox problem across the x-updates of one
+    # linearization; after relinearize, its x-update must bit-equal that of
+    # an agent built fresh from the same linearization and round state
+    stack = all_pairs_distance_stack(5)
+    p_true, p_hat, y = planted_scenario(rng, stack, {1: [0.5, 0.5]})
+    net = build_network(stack, p_hat, y, BlockVec(p_hat.structure), rho=1.0)
+    x_star = inner_admm(net, InnerParams(max_inner_iters=20))[0]
+    for a in net.ordered:
+        force_prox(a)
+        assert a.prox is not None
+    p_point = BlockVec(p_hat.structure, p_hat.data + x_star.data)
+    relinearize(net, stack, p_point, y.data - eval_stack(stack, p_point).data, x_star)
+    for a in net.ordered:
+        fresh = AgentState(i=a.i, rho=a.rho, x_star=a.x_star, neighbors=a.neighbors,
+                           incident=a.incident, rows=a.rows, J=a.J, r=a.r)
+        for name in ("lam_rows", "x_bar", "mu", "w", "nbr_xbar", "nbr_mu",
+                     "nbr_copy_of_me"):
+            getattr(fresh, name)[:] = getattr(a, name)
+        assert np.array_equal(force_prox(fresh), force_prox(a))
+        # and again once both have formed their prox operators
+        assert np.array_equal(force_prox(fresh), force_prox(a))
 
 
 def test_inner_trace_rows_and_csv(tmp_path, rng):

@@ -41,5 +41,10 @@ def test_traced_solve_records_relinearization_and_w_updates():
     names = set(tracer.names)
     assert {"solver.relinearize", "agent.primal_update_w"} <= names
     assert tracer.names.count("solver.relinearize") == res.outer_iters - 1
+    # one traced prox solve for every x-update that missed the fast path
+    prox_calls = sum(int((scn.num_agents - rows.fastpath_count).sum())
+                     for rows in res.trace.inner)
+    assert prox_calls > 0
+    assert tracer.names.count("prox.solve_prox") == prox_calls
     for name, (owner, attr) in tracing.ENTRY_POINTS.items():
         assert getattr(owner, attr) is originals[name], name
