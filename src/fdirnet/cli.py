@@ -39,6 +39,8 @@ def _override(params, flag: str, **change):
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
     if args.seed is not None:
+        if args.seed < 0:
+            raise ScenarioError(f"--seed: must be a non-negative integer, got {args.seed}")
         scn.seed = args.seed
     if args.rho is not None:
         scn.inner_params = _override(scn.inner_params, "--rho", rho=args.rho)
@@ -71,6 +73,7 @@ def _grade(scn: Scenario, result: SolveResult) -> FaultReport:
                       for i in range(scn.num_agents)},
         meas_residual=result.meas_residual,
         outer_iters=result.outer_iters,
+        outer_stop=result.outer_stop,
         degraded=result.degraded,
         precision=precision,
         recall=recall,

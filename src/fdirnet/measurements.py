@@ -127,10 +127,13 @@ class MeasurementStack:
 
     Edge l's kind comes from the hypergraph's tag list; edge members are
     ordered (role order i, j[, k] matters for tdoa and subtended angle).
+    ``sigmas`` holds each edge's additive Gaussian noise std dev (None for a
+    noiseless map); it is part of the model, so the solver may read it.
     """
 
     graph: Hypergraph
     d: int
+    sigmas: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.graph.kinds is None:
@@ -142,6 +145,18 @@ class MeasurementStack:
                 raise ValueError(
                     f"edge {l}: {kind.value} needs {kind.arity} members, got {len(e)}"
                 )
+        if self.sigmas is not None:
+            s = np.asarray(self.sigmas, dtype=float)
+            if s.shape != (self.graph.num_edges,) or not np.all((s >= 0) & (s < np.inf)):
+                raise ValueError("sigmas: needs one finite non-negative value per edge")
+
+    @cached_property
+    def noise_level(self) -> float:
+        """s = sqrt(sum_l sigma_l^2 m_l), the expected norm of the noise in y
+        (m_l is edge l's row count); 0 for a noiseless map."""
+        if self.sigmas is None:
+            return 0.0
+        return float(np.sqrt(np.square(self.sigmas) @ self.row_structure.lengths))
 
     @cached_property
     def row_structure(self) -> BlockStructure:

@@ -52,8 +52,7 @@ class Scenario:
     agent_ids: tuple[int, ...]  # sorted external ids; index order everywhere
     true_states: BlockVec
     reported_states: BlockVec
-    stack: MeasurementStack
-    sigmas: tuple[float, ...]  # per-edge noise std dev
+    stack: MeasurementStack  # carries the per-edge noise std devs
     seed: int
     inner_params: InnerParams
     outer_params: OuterParams
@@ -65,9 +64,9 @@ class Scenario:
     def measurements(self) -> BlockVec:
         """y = Phi(true states) + seeded Gaussian noise; deterministic."""
         y = eval_stack(self.stack, self.true_states)
-        if any(s > 0 for s in self.sigmas):
+        if any(s > 0 for s in self.stack.sigmas):
             rng = np.random.default_rng(self.seed)
-            for l, sigma in enumerate(self.sigmas):
+            for l, sigma in enumerate(self.stack.sigmas):
                 if sigma > 0:
                     y.block(l)[:] += sigma * rng.standard_normal(len(y.block(l)))
         return y
@@ -88,8 +87,8 @@ class Scenario:
         for l, members in enumerate(self.stack.graph.edges):
             entry = {"kind": self.stack.graph.kinds[l].value,
                      "members": [int(id_of[m]) for m in members]}
-            if self.sigmas[l] > 0:
-                entry["sigma"] = float(self.sigmas[l])
+            if self.stack.sigmas[l] > 0:
+                entry["sigma"] = float(self.stack.sigmas[l])
             edges.append(entry)
         ip, op = self.inner_params, self.outer_params
         solver = {"rho": ip.rho, "max_inner_iters": ip.max_inner_iters,
@@ -116,7 +115,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     d = doc.get("dimension")
     _require(isinstance(d, int) and d in (2, 3), "dimension: must be 2 or 3")
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int), "seed: must be an integer")
+    _require(isinstance(seed, int) and seed >= 0, "seed: must be a non-negative integer")
 
     agents = doc.get("agents")
     _require(isinstance(agents, list) and agents, "agents: non-empty list required")
@@ -174,14 +173,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"solver.{exc}") from None
 
-    graph = Hypergraph(num_vertices=len(agent_ids), edges=tuple(edges),
-                       kinds=tuple(kinds))
-    stack = MeasurementStack(graph=graph, d=d)
+    try:  # the hypergraph checks that no edge repeats a member
+        graph = Hypergraph(num_vertices=len(agent_ids), edges=tuple(edges),
+                           kinds=tuple(kinds))
+    except ValueError as exc:
+        raise ScenarioError(f"edges: {exc}") from None
+    stack = MeasurementStack(graph=graph, d=d, sigmas=tuple(sigmas))
     true_states = BlockVec.from_blocks([by_id[a][0] for a in agent_ids])
     reported = BlockVec.from_blocks([by_id[a][1] for a in agent_ids])
     return Scenario(d=d, agent_ids=agent_ids, true_states=true_states,
-                    reported_states=reported, stack=stack,
-                    sigmas=tuple(sigmas), seed=seed,
+                    reported_states=reported, stack=stack, seed=seed,
                     inner_params=inner, outer_params=outer)
 
 
@@ -201,6 +202,7 @@ class FaultReport:
     error_blocks: dict[int, list[float]]
     meas_residual: float
     outer_iters: int
+    outer_stop: str  # why the outer loop ended: step, residual, discrepancy, budget
     degraded: bool
     # ground-truth comparison (true states came from the scenario file;
     # the solver itself never saw them)
@@ -219,6 +221,7 @@ class FaultReport:
         lines.append(f"measurement residual: {self.meas_residual:.3e}")
         lines.append(f"outer iterations: {self.outer_iters}"
                      + (" (degraded convergence)" if self.degraded else ""))
+        lines.append(f"outer stop: {self.outer_stop}")
         lines.append("")
         lines.append("reconstructed error blocks:")
         for aid in sorted(self.block_norms):

@@ -1,16 +1,25 @@
 """Orchestration of the error-reconstruction solve.
 
 The inner loop is consensus ADMM over the simulated network on the
-linearized constraints; the outer loop relinearizes the measurement map
-at the accumulated estimate (sequential convex programming), absorbs the
-inner solution into x*, and stops on step size or measurement residual.
-Faulty agents are the blocks of x* with non-negligible norm.
+linearized constraints. It stops when its violations and its step are
+within tolerance, or, on a linearization it cannot satisfy, as soon as it
+has reached its plateau: its step is small against the violations, and
+the violations have moved by under PLATEAU_RTOL of themselves over the
+last PLATEAU_LAG rounds. Further rounds there would only grow the duals.
+
+The outer loop relinearizes the measurement map at the accumulated
+estimate (sequential convex programming) and absorbs the inner solution
+into x*. It stops on step size, on a measurement residual within
+``tol_meas``, or on a residual within DISCREPANCY_TAU times the noise
+level the stack's sigmas imply (the discrepancy principle: a noisy y
+cannot be fitted more closely than its noise). Faulty agents are the
+blocks of x* with non-negligible norm.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +33,10 @@ from .topology import build_tables
 
 
 def is_finite_number(v) -> bool:
-    """v is a finite int or float (YAML's true/false and .nan/.inf are not)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """v is an int or float with a finite float value (YAML's true/false and
+    .nan/.inf are not, nor is an int beyond the float range)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
 
 
 def _check_positive(params, ints: tuple[str, ...], reals: tuple[str, ...]) -> None:
@@ -149,28 +160,38 @@ def relinearize(network: Network, stack: MeasurementStack, p_point: BlockVec,
         a.relinearize(J, r, x_star.block(a.i))
 
 
-STALL_WINDOW = 200
-STALL_FACTOR = 0.9
+PLATEAU_LAG = 10  # rounds between the two violation levels compared
+PLATEAU_RTOL = 1e-2  # relative to the current violation level
 
 
 def inner_admm(network: Network, params: InnerParams):
-    """Run ADMM rounds until primal/dual tolerances or the budget.
+    """Run ADMM rounds until convergence, a plateau or the budget.
 
-    On an infeasible linearized system (linearization error off the range
-    of R) the violations plateau at the infeasibility level; the loop then
-    bails out early with converged=False instead of burning the budget,
-    since the outer loop will relinearize anyway.
+    Let v_k be the larger of the two largest violation norms (max ||c||,
+    max ||d||) after round k, and dx_k the largest change of an agent's
+    xbar in that round. The loop stops
+
+    - "converged" when both violations are within tol_primal and dx_k
+      within tol_dual (tested first);
+    - "stalled" when dx_k <= PLATEAU_RTOL * v_k and
+      |v_{k-PLATEAU_LAG} - v_k| <= PLATEAU_RTOL * v_k. On an infeasible
+      linearized system (linearization error off the range of R) the
+      iterate settles with the violations at the infeasibility level while
+      the scaled duals keep growing; nothing the outer loop uses moves any
+      more, and it will relinearize anyway. Both halves are needed: a slow
+      loop on a feasible system has a small dx_k too, but its violations
+      are still falling;
+    - "budget" after max_inner_iters rounds.
 
     Returns (xbar: BlockVec, rows, converged: bool, stop), where rows is
-    a record array of INNER_ROW, one per round, and stop says why the loop
-    ended: "converged", "stalled" or "budget".
+    a record array of INNER_ROW, one per round.
     """
     agents = network.ordered
     x_star = np.array([a.x_star for a in agents])
     xbar = np.array([a.x_bar for a in agents])
     rows: list[tuple] = []
     stop = "budget"
-    best_progress: list[float] = []
+    levels: list[float] = []  # v_k per round
 
     for _ in range(params.max_inner_iters):
         network.run_iteration()
@@ -186,11 +207,10 @@ def inner_admm(network: Network, params: InnerParams):
                 and dx <= params.tol_dual:
             stop = "converged"
             break
-        progress = max(max_c, max_d, dx)
-        best_progress.append(min(progress, best_progress[-1])
-                             if best_progress else progress)
-        if len(best_progress) > STALL_WINDOW and \
-                best_progress[-1] > STALL_FACTOR * best_progress[-1 - STALL_WINDOW]:
+        v = max(max_c, max_d)
+        levels.append(v)
+        if dx <= PLATEAU_RTOL * v and len(levels) > PLATEAU_LAG \
+                and abs(levels[-1 - PLATEAU_LAG] - v) <= PLATEAU_RTOL * v:
             stop = "stalled"
             break
 
@@ -208,6 +228,9 @@ def default_fault_tol(p_hat: BlockVec) -> float:
     return max(1e-3 * float(np.median(p_hat.block_norms())), 1e-3)
 
 
+DISCREPANCY_TAU = 1.5  # outer stop once meas_res <= tau * stack.noise_level
+
+
 @dataclass
 class SolveResult:
     x_star: BlockVec
@@ -216,6 +239,7 @@ class SolveResult:
     degraded: bool
     outer_iters: int
     meas_residual: float
+    outer_stop: str  # "step", "residual", "discrepancy" or "budget"
 
 
 def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
@@ -223,8 +247,10 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
               outer_params: OuterParams | None = None) -> SolveResult:
     """Full SCP+ADMM solve from the reported states and measurements.
 
-    The solver only ever sees (p_hat, y, topology); true states exist only
-    in scenario files for evaluation.
+    The solver only ever sees (p_hat, y, topology) and the noise model the
+    stack carries; true states exist only in scenario files for evaluation.
+    The result is degraded when no outer stopping test held within
+    max_scp_iters (outer_stop "budget").
     """
     inner_params = inner_params or InnerParams()
     outer_params = outer_params or OuterParams()
@@ -233,8 +259,8 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
     x_star = BlockVec(p_hat.structure)
     p_point = p_hat  # the linearization point p_hat + x*
     network = None
-    degraded = False
     meas_res = np.inf
+    outer_stop = "budget"
 
     for outer_it in range(outer_params.max_scp_iters):
         try:
@@ -265,19 +291,24 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
             inner_stop=stop,
         ))
 
+        # inner stalls along the way are expected while the linearization
+        # is coarse; reaching an outer stopping test is what counts as a
+        # clean solve
         step = float(np.linalg.norm(xbar.data))
-        if step <= outer_params.tol_step or meas_res <= outer_params.tol_meas:
-            # inner stalls along the way are expected while the
-            # linearization is coarse; reaching an outer stopping criterion
-            # is what counts as a clean solve
-            degraded = False
-            break
-        degraded = True
+        if step <= outer_params.tol_step:
+            outer_stop = "step"
+        elif meas_res <= outer_params.tol_meas:
+            outer_stop = "residual"
+        elif meas_res <= DISCREPANCY_TAU * stack.noise_level:
+            outer_stop = "discrepancy"
+        else:
+            continue
+        break
 
     fault_tol = outer_params.fault_tol
     if fault_tol is None:
         fault_tol = default_fault_tol(p_hat)
     faults = identify_faults(x_star, fault_tol)
     return SolveResult(x_star=x_star, faults=faults, trace=trace,
-                       degraded=degraded, outer_iters=len(trace.outer),
-                       meas_residual=meas_res)
+                       degraded=outer_stop == "budget", outer_iters=len(trace.outer),
+                       meas_residual=meas_res, outer_stop=outer_stop)

@@ -279,3 +279,15 @@ def test_generic_configurations_are_regular(rng):
                        (MeasurementKind.DISTANCE,) * 4)
         R = jacobian_stack(MeasurementStack(g, 2), BlockVec.from_blocks(pts))
         assert regular_point_check(R)
+
+
+def test_noise_level_weights_each_sigma_by_its_row_count():
+    # a 3-D bearing has 3 rows, a distance 1 and a 3-D displacement 3
+    D = MeasurementKind
+    g = Hypergraph(3, ((0, 1), (1, 2), (0, 2)), (D.BEARING, D.DISTANCE, D.DISPLACEMENT))
+    stack = MeasurementStack(g, 3, sigmas=(0.1, 0.2, 0.0))
+    assert stack.noise_level == pytest.approx(np.sqrt(3 * 0.1 ** 2 + 0.2 ** 2), rel=1e-15)
+    assert MeasurementStack(g, 3).noise_level == 0.0
+    for bad in ((0.1, 0.2), (0.1, -0.2, 0.0), (0.1, np.nan, 0.0)):
+        with pytest.raises(ValueError, match="sigmas"):
+            MeasurementStack(g, 3, sigmas=bad)

@@ -1,8 +1,11 @@
+import copy
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdirnet.cli import EXIT_DEGRADED, EXIT_ERROR, EXIT_OK, main
 from fdirnet.measurements import MeasurementKind
@@ -34,7 +37,7 @@ def test_parse_basic_fields():
     assert scn.agent_ids == (0, 1, 2)
     assert scn.stack.graph.kinds == (MeasurementKind.DISTANCE,
                                      MeasurementKind.DISPLACEMENT)
-    assert scn.sigmas == (0.0, 0.1)
+    assert scn.stack.sigmas == (0.0, 0.1)
     assert scn.reported_states.block(1) == pytest.approx([3.5, 4.0])
 
 
@@ -66,6 +69,9 @@ def test_noncontiguous_agent_ids_are_remapped():
     (lambda d: d["edges"][0].update(members=[0]), "needs 2 members"),
     (lambda d: d["edges"][1].update(sigma=-1.0), "edges[1].sigma"),
     (lambda d: d.update(solver={"bogus": 1}), "solver.bogus"),
+    # a negative seed failed only once noise was drawn
+    (lambda d: d.update(seed=-1), "seed: must be a non-negative"),
+    (lambda d: d["edges"][0].update(members=[0, 0]), "edge 0 repeats a vertex"),
 ])
 def test_validation_errors_name_the_field(mutate, needle):
     doc = base_doc()
@@ -153,6 +159,7 @@ def test_cli_malformed_options(tmp_path, capsys, needle, mutate):
 
 @pytest.mark.parametrize("flag,value", [
     ("--rho", "0"), ("--rho", "-1"), ("--rho", "nan"), ("--max-outer", "0"),
+    ("--seed", "-1"),
 ])
 def test_cli_non_positive_override_rejected(tmp_path, capsys, flag, value):
     # without the check, --max-outer 0 exits 0 and reports no faulty agent
@@ -193,7 +200,7 @@ def test_round_trip_save_load(tmp_path):
     assert np.array_equal(back.true_states.data, scn.true_states.data)
     assert np.array_equal(back.reported_states.data, scn.reported_states.data)
     assert back.stack.graph.edges == scn.stack.graph.edges
-    assert back.sigmas == scn.sigmas
+    assert back.stack.sigmas == scn.stack.sigmas
 
 
 def test_unparseable_yaml(tmp_path):
@@ -201,6 +208,71 @@ def test_unparseable_yaml(tmp_path):
     path.write_text("{[")
     with pytest.raises(ScenarioError):
         load_scenario(path)
+
+
+SCENARIO_NAMES = [f.stem for f in sorted(SCENARIOS.glob("*.yaml"))]
+SHIPPED_DOCS = [yaml.safe_load((SCENARIOS / f"{n}.yaml").read_text()) for n in SCENARIO_NAMES]
+
+# values of the wrong type, non-finite, out of range or too large for a float
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                 st.text(max_size=3), st.lists(st.integers(-2, 9), max_size=4),
+                 st.dictionaries(st.text(max_size=2), st.integers(-2, 9), max_size=2))
+
+
+def _paths(node, path=()):
+    """The path of node and of everything nested in it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A shipped scenario document with one to three entries dropped,
+    replaced by junk, or (lists) shortened or lengthened."""
+    doc = copy.deepcopy(draw(st.sampled_from(SHIPPED_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return draw(JUNK)
+        *up, key = path
+        parent = doc
+        for k in up:
+            parent = parent[k]
+        action = draw(st.sampled_from(["drop", "junk", "shorten", "lengthen"]))
+        value = parent[key]
+        if action == "drop":
+            del parent[key]
+        elif action == "junk" or not isinstance(value, list):
+            parent[key] = draw(JUNK)
+        elif action == "shorten":
+            parent[key] = value[:draw(st.integers(0, max(len(value) - 1, 0)))]
+        else:
+            parent[key] = value + [copy.deepcopy(value[-1]) if value else draw(JUNK)]
+    return doc
+
+
+def _shipped(name, mutate):
+    doc = copy.deepcopy(SHIPPED_DOCS[SCENARIO_NAMES.index(name)])
+    mutate(doc)
+    return doc
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_documents())
+# each of these raised an exception other than ScenarioError
+@example(_shipped("mixed_chain_fault", lambda d: d["edges"][0].update(members=[0, 0])))
+@example(_shipped("triangle_diagnostics", lambda d: d["agents"][0].update(
+    true_state=[10 ** 400, 0.0])))
+@example(_shipped("triangle_diagnostics", lambda d: d["edges"][0].update(sigma=-10 ** 400)))
+@example(_shipped("circle_fault_free", lambda d: d["solver"].update(rho=10 ** 400)))
+def test_loader_fuzz_returns_a_scenario_or_scenario_error(doc):
+    try:
+        scenario_from_dict(doc)
+    except ScenarioError:
+        pass
 
 
 # ---------------------------------------------------------------------
@@ -216,11 +288,21 @@ def test_cli_run_writes_report_and_traces(tmp_path, capsys):
     report = (out / "report.txt").read_text()
     assert "identified faulty agents: 2" in report
     assert "precision: 1.000  recall: 1.000" in report
+    assert "outer stop: step\n" in report
     traces = sorted(out.glob("trace_outer*.csv"))
     assert traces
     header = traces[0].read_text().splitlines()[0]
     assert header == ("outer_iter,inner_iter,max_c_norm,max_d_norm,"
                       "l21_objective,meas_residual,fastpath_count")
+
+
+def test_cli_run_out_of_outer_budget_exits_degraded(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(SCENARIOS / "mixed_chain_fault.yaml"),
+                 "--out", str(out), "--max-outer", "1", "--quiet"])
+    assert code == EXIT_DEGRADED
+    report = (out / "report.txt").read_text()
+    assert "outer iterations: 1 (degraded convergence)\nouter stop: budget\n" in report
 
 
 def test_cli_run_reruns_byte_identical(tmp_path, capsys):
