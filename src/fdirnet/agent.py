@@ -11,11 +11,18 @@ degree. With k neighbors and blocks of length d:
 
   * rows: the rows of every incident edge, edges in ascending index
     order; ``rows[e]:rows[e + 1]`` are the rows of ``incident[e]``.
-    ``J`` (rows x (1 + k) d), ``r`` and ``lam_rows`` share this order.
+    ``J`` (rows x (1 + k) d), ``r``, ``lam_rows`` and c share this order.
   * columns of ``J``: d wide per block, own block first, then one slot per
     neighbor in ascending id order.
   * slots: ``mu``, ``w``, ``nbr_xbar``, ``nbr_mu`` and ``nbr_copy_of_me``
     are (k x d), row s belonging to neighbor ``neighbors[s]``.
+
+Every array but ``J`` and ``r`` views one buffer per agent,
+[x* | H^-1 | lam_rows, mu | x_bar, w | c, d | receive slots], with
+``duals`` = [lam_rows | mu], ``xw`` = [x_bar | w] (so ``J @ xw`` needs no
+concatenation) and ``viol`` = [c | d]; a ``Network`` moves the receive
+slots into its inbox. All code writes these views in place
+(``s.x_bar[:] = v``, never ``s.x_bar = v``).
 
 ``x_star``, ``J`` and ``r`` change once per linearization, and the agent
 takes each one itself (``relinearize``), checking its shape. Two operators
@@ -30,8 +37,11 @@ dropped at the next one:
     build and check only the new right-hand side. An agent that always
     takes the fast path never forms it.
 
-The round state (``lam_rows``, ``x_bar`` and the five slot arrays) is
-rewritten in place.
+Each round quantity is computed once: the dual update evaluates c and d
+at (xbar, w) into ``viol``, adds them to the duals, and ``violation_norms``
+reads them. The x-update's data is ``viol + duals`` with c and d at
+xhat = -x*, which is where a fast-path x-update leaves xbar; ``kept`` marks
+such a pair, and the w-update (a new w) and ``relinearize`` clear it.
 
 Local constraint functions, with r the linearized measurement residual
 and J the Jacobian at the current linearization point:
@@ -56,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +91,7 @@ class AgentState:
     x_star: np.ndarray  # accumulated error estimate block x*[i]
     neighbors: tuple[int, ...]  # ascending; slot s belongs to neighbors[s]
     incident: tuple[int, ...]  # ascending incident edge indices
-    rows: tuple[int, ...]  # row offsets of each incident edge, len(incident) + 1
+    rows: np.ndarray  # row offsets of each incident edge (intp), len(incident) + 1
     J: np.ndarray  # local Jacobian, see the module docstring
     r: np.ndarray  # linearized residual per row
     H_inv: np.ndarray = field(init=False)  # (I + J_n^T J_n)^-1, J_n the neighbor columns
@@ -88,46 +99,56 @@ class AgentState:
     # until the first one of a linearization
     prox: ProxProblem | None = field(init=False, default=None)
 
-    lam_rows: np.ndarray = field(init=False)  # scaled edge dual per row
-    mu: np.ndarray = field(init=False)  # scaled consensus dual per slot
+    duals: np.ndarray = field(init=False)  # [lam_rows | mu], scaled duals
+    # scaled edge dual per row and consensus dual per slot, views of duals
+    lam_rows = property(lambda self: self.duals[:len(self.r)])
+    mu = property(lambda self: self.duals[len(self.r):].reshape(self.w.shape))
+    xw: np.ndarray = field(init=False)  # [x_bar | w]
+    x_bar: np.ndarray = field(init=False)
     w: np.ndarray = field(init=False)  # my copy of each neighbor's block
+    viol: np.ndarray = field(init=False)  # [c | d], see the module docstring
 
     # received this round, one row per slot
     nbr_xbar: np.ndarray = field(init=False)
     nbr_mu: np.ndarray = field(init=False)  # mu_j^(i) from each j
     nbr_copy_of_me: np.ndarray = field(init=False)  # w_j^(i) from each j
 
-    x_bar: np.ndarray = field(init=False)
     fast_path: bool = field(init=False, default=False)
-    # (max ||c||, max ||d||) over edges and neighbors, set by dual_update
-    violations: tuple[float, float] = field(init=False, default=(0.0, 0.0))
+    kept: bool = field(init=False, default=False)  # viol holds c, d at xhat = -x*
 
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        self._take_linearization(self.J, self.r, self.x_star)
-        # the round state shares one buffer and the updates write it in place;
-        # at round 0 everything is zero, the copies too (xhat starts at 0)
-        m, k, d = self.rows[-1], len(self.neighbors), self.n_i
-        state = np.zeros(m + d + 5 * k * d)
-        self.lam_rows, self.x_bar = state[:m], state[m:m + d]
-        (self.mu, self.w, self.nbr_xbar, self.nbr_mu,
-         self.nbr_copy_of_me) = state[m + d:].reshape(5, k, d)
+        m, k, d = self.rows[-1], len(self.neighbors), len(self.x_star)
+        # an index array once, not on every reduction over the edges' rows
+        self.rows = np.asarray(self.rows, dtype=np.intp)
+        # the buffer of the module docstring, ending in the receive slots; at
+        # round 0 everything is zero, the copies too (xhat starts at 0)
+        kd = k * d
+        h, u, x, v = accumulate((d + kd * kd, m + kd, d + kd, m + kd))  # ends of H^-1 .. c, d
+        buf = np.zeros(v + 3 * kd)
+        x_star, self.H_inv = buf[:d], buf[d:h].reshape(kd, kd)
+        self.duals, self.xw, self.viol = buf[h:u], buf[u:x], buf[x:v]
+        self.x_bar, self.w = buf[u:u + d], buf[u + d:x].reshape(k, d)
+        self.nbr_xbar, self.nbr_mu, self.nbr_copy_of_me = buf[v:].reshape(3, k, d)
+        x_star, self.x_star = self.x_star, x_star
+        self._take_linearization(self.J, self.r, x_star)
 
     def _take_linearization(self, J, r, x_star) -> None:
-        """Store (J, r) and a copy of x*, check their shapes, form H^-1 and
-        drop the prox problem of the previous linearization."""
-        self.x_star = np.array(x_star, dtype=float)
-        self.J = np.asarray(J, dtype=float)
-        self.r = np.asarray(r, dtype=float)
+        """Store (J, r), copy x* into the buffer, check their shapes, form
+        H^-1 in place and drop the prox problem of the previous linearization."""
+        J = np.asarray(J, dtype=float)
+        r = np.asarray(r, dtype=float)
         m, k, d = self.rows[-1], len(self.neighbors), self.n_i
-        if self.J.shape != (m, (1 + k) * d) or self.r.shape != (m,):
-            raise ValueError(f"J {self.J.shape} and r {self.r.shape} do not fit "
-                             f"{m} rows and {k} neighbors")
-        Jn = self.J[:, d:]
+        if J.shape != (m, (1 + k) * d) or r.shape != (m,) or np.shape(x_star) != (d,):
+            raise ValueError(f"J {J.shape}, r {r.shape} and x* {np.shape(x_star)} do not "
+                             f"fit {m} rows, {k} neighbors and blocks of {d}")
+        self.x_star[:] = x_star
+        self.J, self.r = J, r
+        Jn = J[:, d:]
         H = Jn.T @ Jn
         H.flat[::H.shape[0] + 1] += 1.0  # H = I + J_n^T J_n
-        self.H_inv = np.linalg.inv(H)
+        self.H_inv[:] = np.linalg.inv(H)
         self.prox = None
 
     def relinearize(self, J, r, x_star) -> None:
@@ -137,6 +158,7 @@ class AgentState:
         self.w -= self.nbr_xbar
         self.nbr_copy_of_me -= self.x_bar
         self.x_bar[:] = 0.0
+        self.kept = self.fast_path = False  # xbar is no longer -x*
         self._take_linearization(J, r, x_star)
 
     @property
@@ -161,32 +183,37 @@ class AgentState:
 
     # ----- constraint functions ---------------------------------------
 
-    def _c(self, xhat_i) -> np.ndarray:
-        """c_i at (xhat_i, w), every incident edge's rows."""
-        return self.J @ np.concatenate([xhat_i, self.w.ravel()]) - self.r
+    def _violations(self, xw, out) -> np.ndarray:
+        """[c_i | d_i] at (xhat_i, w) = (xw[:d], xw[d:]), written into out."""
+        m = len(self.r)
+        c, d = out[:m], out[m:].reshape(self.w.shape)
+        np.subtract(np.matmul(self.J, xw, out=c), self.r, out=c)
+        np.subtract(xw[:len(self.x_star)], self.nbr_copy_of_me, out=d)
+        return out
 
-    def _d(self, xhat_i) -> np.ndarray:
-        """d_i^j at xhat_i, one row per neighbor slot."""
-        return xhat_i - self.nbr_copy_of_me
+    def _at(self, xhat_i) -> np.ndarray:
+        """[c_i | d_i] at (xhat_i, w), in a new array."""
+        xw = np.concatenate([np.asarray(xhat_i, dtype=float), self.w.ravel()])
+        return self._violations(xw, np.empty(len(self.viol)))
 
     def constraint_c(self, l: int, xhat_i) -> np.ndarray:
-        return self._c(np.asarray(xhat_i, dtype=float))[self._edge_rows(l)]
+        return self._at(xhat_i)[self._edge_rows(l)]
 
     def constraint_d(self, j: int, xhat_i) -> np.ndarray:
-        return self._d(np.asarray(xhat_i, dtype=float))[self.neighbors.index(j)]
+        return self._at(xhat_i)[self.rows[-1]:].reshape(self.w.shape)[self.neighbors.index(j)]
 
     # ----- x-update ---------------------------------------------------
 
-    def _adjusted_violations(self) -> tuple[np.ndarray, np.ndarray]:
-        """(c_i + lam, d_i + mu) at xhat_i = -x*[i]: the x-update's data."""
-        xhat = -self.x_star
-        return self._c(xhat) + self.lam_rows, self._d(xhat) + self.mu
+    def _adjusted_violations(self) -> np.ndarray:
+        """[c_i + lam | d_i + mu] at xhat_i = -x*[i]: the x-update's data."""
+        return self._at(-self.x_star) + self.duals
 
-    def _problem(self, e, f) -> ProxProblem:
-        """The prox problem for (e, f); A is built and checked on the first
-        call of a linearization and shared by the later ones."""
+    def _problem(self, ef) -> ProxProblem:
+        """The prox problem for ef = [c + lam | d + mu]; A is built and
+        checked on the first call of a linearization and shared by the later
+        ones."""
         sq = np.sqrt(self.rho)
-        b = -sq * np.concatenate([e, f.ravel()])
+        b = -sq * ef
         if self.prox is None:
             # an isolated agent gets a 0-row A: only the norm term remains
             eyes = np.tile(np.eye(self.n_i), (len(self.neighbors), 1))
@@ -195,26 +222,29 @@ class AgentState:
             self.prox = self.prox.with_rhs(b)
         return self.prox
 
-    def _residual(self, e, f) -> float:
-        v = self.J[:, :self.n_i].T @ e + f.sum(axis=0)
+    def _residual(self, ef) -> float:
+        m = len(self.r)
+        v = self.J[:, :len(self.x_star)].T @ ef[:m] \
+            + np.add.reduce(ef[m:].reshape(self.w.shape), axis=0)
         return math.sqrt(v @ v)
 
     def assemble_local_problem(self) -> ProxProblem:
         """The subproblem in the variable v = x*[i] + xhat_i."""
-        return self._problem(*self._adjusted_violations())
+        return self._problem(self._adjusted_violations())
 
     def residual_norm(self) -> float:
         """Norm of the dual-adjusted aggregated violations; equals
         ||A_i^T b_i|| / rho, so the fast path fires iff this is <= 1/rho."""
-        return self._residual(*self._adjusted_violations())
+        return self._residual(self._adjusted_violations())
 
     def primal_update_x(self, tol: float = 1e-9) -> np.ndarray:
-        e, f = self._adjusted_violations()
-        self.fast_path = self._residual(e, f) <= 1.0 / self.rho
-        if self.fast_path:
+        if not self.kept:  # c and d at xbar = -x*, which the fast path keeps
             np.negative(self.x_star, out=self.x_bar)
-        else:
-            sol = solve_prox(self._problem(e, f), tol=tol)
+            self._violations(self.xw, self.viol)
+        ef = self.viol + self.duals
+        self.fast_path = self._residual(ef) <= 1.0 / self.rho
+        if not self.fast_path:
+            sol = solve_prox(self._problem(ef), tol=tol)
             np.subtract(sol.v_star, self.x_star, out=self.x_bar)
         return self.x_bar
 
@@ -231,28 +261,30 @@ class AgentState:
         invertible, and its inverse, formed once per linearization, gives w
         as one product.
         """
+        self.kept = False
         if not self.neighbors:
             return self.w
-        const = self.J[:, :self.n_i] @ self.x_bar - self.r + self.lam_rows
-        rhs = (self.nbr_xbar + self.nbr_mu).ravel() - self.J[:, self.n_i:].T @ const
-        self.w[:] = (self.H_inv @ rhs).reshape(self.w.shape)
+        d = len(self.x_star)
+        const = self.J[:, :d] @ self.x_bar - self.r + self.duals[:len(self.r)]
+        rhs = (self.nbr_xbar + self.nbr_mu).ravel() - self.J[:, d:].T @ const
+        np.matmul(self.H_inv, rhs, out=self.xw[d:])
         return self.w
 
     # ----- dual update ------------------------------------------------
 
     def dual_update(self) -> None:
-        """Running-sum update of the scaled duals with the current
-        violations, whose largest norms it keeps for violation_norms."""
-        c = self._c(self.x_bar)
-        d = self._d(self.x_bar)
-        self.lam_rows += c
-        self.mu += d
-        max_c = np.sqrt(np.add.reduceat(c * c, self.rows[:-1]).max()) if len(c) else 0.0
-        max_d = np.sqrt((d * d).sum(axis=1).max()) if len(d) else 0.0
-        self.violations = (float(max_c), float(max_d))
+        """Running-sum update of the scaled duals with the violations at
+        (xbar, w), kept in ``viol`` (see the module docstring)."""
+        self.duals += self._violations(self.xw, self.viol)
+        self.kept = self.fast_path
 
     # ----- diagnostics ------------------------------------------------
 
     def violation_norms(self) -> tuple[float, float]:
         """(max ||c||, max ||d||) at the (xbar, w) of the last dual update."""
-        return self.violations
+        m = len(self.r)
+        c, d = self.viol[:m], self.viol[m:].reshape(self.w.shape)
+        # ufuncs, not the ndarray methods, which add a Python-level wrapper
+        max_c = np.maximum.reduce(np.add.reduceat(c * c, self.rows[:-1])) if m else 0.0
+        max_d = np.maximum.reduce(np.add.reduce(d * d, axis=1)) if len(d) else 0.0
+        return math.sqrt(max_c), math.sqrt(max_d)

@@ -79,6 +79,10 @@ def _grade(scn: Scenario, result: SolveResult) -> FaultReport:
         recall=recall,
         max_block_error=max_err,
         true_faults=true_faults,
+        # every x-update that missed the fast path made one prox call
+        inner_loops=tuple((o.inner_iters, o.inner_stop,
+                           scn.num_agents * o.inner_iters - int(rows.fastpath_count.sum()))
+                          for o, rows in zip(result.trace.outer, result.trace.inner)),
     )
 
 

@@ -13,10 +13,12 @@ one send block with a row per neighbor, in its slot order. The routing is
 fixed by the neighbor tables: ``Network.route`` maps each receiver slot
 row ("i's slot for j", all agents' slot rows in id order) to the sender
 row that feeds it ("j's slot for i"), so no agent can reach a
-non-neighbor, and delivery is one gather per kind followed by one slice
-assignment into each receiver's slot array. A phase that leaves out a
-kind, sends an unknown one or hands over a block without exactly one row
-per neighbor is a protocol violation, so no agent ever updates from data
+non-neighbor. The network owns one inbox per kind, holding those slot
+rows: on construction it copies each agent's receive slots in and hands
+the agent back views of its own rows, so delivery is one gather per kind,
+straight into the inbox. A phase that leaves out a kind, sends an unknown
+one or hands over a block without exactly one row per neighbor, of the
+block width, is a protocol violation, so no agent ever updates from data
 that never arrived. ``Message`` objects are built, and returned by
 ``run_phase``, only when the trace is recorded.
 """
@@ -67,29 +69,38 @@ class Network:
         self.round = 0
         # slot rows of all agents in id order; route[q] is the sender row
         # feeding receiver row q: "i's slot for j" <- "j's slot for i"
-        self.bounds = np.cumsum([0] + [len(a.neighbors) for a in agents]).tolist()
+        self.degrees = [len(a.neighbors) for a in agents]
+        self.bounds = np.cumsum([0] + self.degrees).tolist()
         self.route = np.array([self.bounds[j] + agents[j].neighbors.index(a.i)
                                for a in agents for j in a.neighbors], dtype=np.intp)
+        # one inbox per kind holding those slot rows; each agent views its own
+        self.inbox = {kind: np.concatenate([getattr(a, name) for a in agents])
+                      for kind, name in SLOT_ARRAYS.items()}
+        xbar, mu, copy = (self.inbox[kind] for kind in (KIND_XBAR, KIND_MU, KIND_COPY))
+        for a, lo, hi in zip(agents, self.bounds, self.bounds[1:]):
+            a.nbr_xbar, a.nbr_mu, a.nbr_copy_of_me = xbar[lo:hi], mu[lo:hi], copy[lo:hi]
 
     def _deliver(self, phase: int, sends: dict[str, list[np.ndarray]]) -> list[Message]:
         """Route each kind's send blocks, one per agent in id order."""
         kinds = sorted(PHASE_KINDS.get(phase, ()))
         if sorted(sends) != kinds:
             raise ProtocolViolation(f"phase {phase} sent kinds {sorted(sends)}, not {kinds}")
-        agents = self.ordered
         sent = {}
         for kind, blocks in sends.items():
-            slots = [getattr(a, SLOT_ARRAYS[kind]) for a in agents]
-            if len(blocks) != len(slots) or any(
-                    b.shape != s.shape for b, s in zip(blocks, slots)):
+            try:  # fails on blocks of mixed widths or ranks
+                sent[kind] = np.concatenate(blocks)
+            except ValueError:
+                sent[kind] = None
+            # one row per neighbor from every agent, each row as wide as a slot
+            if sent[kind] is None or sent[kind].shape != self.inbox[kind].shape \
+                    or list(map(len, blocks)) != self.degrees:
                 raise ProtocolViolation(
                     f"phase {phase} {kind!r} send blocks need one row per neighbor")
-            sent[kind] = np.concatenate(blocks)
-            rows = sent[kind][self.route]
-            for s, lo, hi in zip(slots, self.bounds, self.bounds[1:]):
-                s[:] = rows[lo:hi]
+            # route is in range by construction; "raise" would buffer the output
+            np.take(sent[kind], self.route, axis=0, out=self.inbox[kind], mode="clip")
         if not self.record_trace:
             return []
+        agents = self.ordered
         for payload in sent.values():
             payload.flags.writeable = False  # so are the rows the messages carry
         out = [Message(a.i, j, self.round, phase, kind, sent[kind][q])
@@ -105,7 +116,7 @@ class Network:
             for a in agents:
                 a.primal_update_x()
             return self._deliver(phase, {
-                KIND_XBAR: [a.x_bar[None].repeat(len(a.neighbors), 0) for a in agents],
+                KIND_XBAR: [a.x_bar[None].repeat(k, 0) for a, k in zip(agents, self.degrees)],
                 KIND_MU: [a.mu for a in agents]})
         if phase == PHASE_COPY:
             for a in agents:

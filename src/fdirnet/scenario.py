@@ -31,6 +31,7 @@ the result.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -62,13 +63,19 @@ class Scenario:
         return len(self.agent_ids)
 
     def measurements(self) -> BlockVec:
-        """y = Phi(true states) + seeded Gaussian noise; deterministic."""
-        y = eval_stack(self.stack, self.true_states)
-        if any(s > 0 for s in self.stack.sigmas):
-            rng = np.random.default_rng(self.seed)
-            for l, sigma in enumerate(self.stack.sigmas):
-                if sigma > 0:
-                    y.block(l)[:] += sigma * rng.standard_normal(len(y.block(l)))
+        """y = Phi(true states) + seeded Gaussian noise; deterministic. A value
+        that overflows (states near 1e154) raises ScenarioError, not a warning."""
+        with np.errstate(all="ignore"):
+            y = eval_stack(self.stack, self.true_states)
+            if any(s > 0 for s in self.stack.sigmas):
+                rng = np.random.default_rng(self.seed)
+                for l, sigma in enumerate(self.stack.sigmas):
+                    if sigma > 0:
+                        y.block(l)[:] += sigma * rng.standard_normal(len(y.block(l)))
+        if not np.isfinite(y.data).all():
+            row = np.flatnonzero(~np.isfinite(y.data))[0]
+            raise ScenarioError(f"edges[{bisect_right(y.structure.offsets, row) - 1}]: "
+                                "the synthesized measurement is not finite")
         return y
 
     def to_dict(self) -> dict:
@@ -115,7 +122,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     d = doc.get("dimension")
     _require(isinstance(d, int) and d in (2, 3), "dimension: must be 2 or 3")
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed: must be a non-negative integer")
+    _require(type(seed) is int and seed >= 0, "seed: must be a non-negative integer")
 
     agents = doc.get("agents")
     _require(isinstance(agents, list) and agents, "agents: non-empty list required")
@@ -123,7 +130,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for idx, a in enumerate(agents):
         _require(isinstance(a, dict) and "id" in a, f"agents[{idx}]: needs an id")
         aid = a["id"]
-        _require(isinstance(aid, int), f"agents[{idx}].id: must be an integer")
+        # type(v) is int: YAML's true and false are ints too (bool subclasses int)
+        _require(type(aid) is int, f"agents[{idx}].id: must be an integer")
         _require(aid not in by_id, f"agents[{idx}].id: duplicate id {aid}")
         ts = a.get("true_state")
         _require(isinstance(ts, list) and len(ts) == d and all(map(is_finite_number, ts)),
@@ -150,7 +158,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         members = e.get("members")
         _require(isinstance(members, list), f"edges[{l}].members: must be a list")
         for m in members:
-            _require(isinstance(m, int) and m in index_of,
+            _require(type(m) is int and m in index_of,
                      f"edges[{l}].members: unknown agent id {m}")
         _require(len(members) == kind.arity,
                  f"edges[{l}].members: {kind.value} needs {kind.arity} members")
@@ -210,6 +218,8 @@ class FaultReport:
     recall: float
     max_block_error: float
     true_faults: frozenset
+    # per outer iteration: (inner rounds, inner stop, prox calls)
+    inner_loops: tuple[tuple[int, str, int], ...] = ()
 
     def to_text(self) -> str:
         lines = ["fault report", "============"]
@@ -222,6 +232,9 @@ class FaultReport:
         lines.append(f"outer iterations: {self.outer_iters}"
                      + (" (degraded convergence)" if self.degraded else ""))
         lines.append(f"outer stop: {self.outer_stop}")
+        for k, (rounds, stop, prox) in enumerate(self.inner_loops):
+            lines.append(f"  outer iteration {k}: {rounds} rounds, inner stop {stop}, "
+                         f"{prox} prox calls")
         lines.append("")
         lines.append("reconstructed error blocks:")
         for aid in sorted(self.block_norms):

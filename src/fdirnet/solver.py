@@ -97,16 +97,19 @@ class RunTrace:
     outer: list[OuterIterRow] = field(default_factory=list)
 
     def dump_inner_csv(self, path, outer_iter: int) -> None:
+        """One row per inner round; the last one's ``stop`` is the inner stop."""
         rows = self.inner[outer_iter]
+        outer = self.outer[outer_iter] if outer_iter < len(self.outer) else None
+        meas = outer.meas_residual if outer else ""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["outer_iter", "inner_iter", "max_c_norm",
                              "max_d_norm", "l21_objective", "meas_residual",
-                             "fastpath_count"])
-            meas = self.outer[outer_iter].meas_residual if outer_iter < len(self.outer) else ""
+                             "fastpath_count", "stop"])
             for t, row in enumerate(rows):
+                stop = outer.inner_stop if outer and t == len(rows) - 1 else ""
                 writer.writerow([outer_iter, t, row.max_c_norm, row.max_d_norm,
-                                 row.l21_objective, meas, row.fastpath_count])
+                                 row.l21_objective, meas, row.fastpath_count, stop])
 
 
 def _local_linearization(stack: MeasurementStack, R: BlockMat, resid: np.ndarray,

@@ -134,13 +134,24 @@ def random_agent_state(rng, rho=None, n_edges=None, n_nbrs=None, d=2):
     state = AgentState(i=i, rho=rho, x_star=x_star, neighbors=tuple(nbrs),
                        incident=tuple(range(len(edges))), rows=tuple(rows), J=J,
                        r=np.concatenate([r for _, _, r in edges]))
-    state.w = rng.normal(size=(n_nbrs, d))
-    state.lam_rows = rng.normal(size=rows[-1])
-    state.mu = rng.normal(size=(n_nbrs, d))
-    state.nbr_copy_of_me = rng.normal(size=(n_nbrs, d))
-    state.nbr_xbar = rng.normal(size=(n_nbrs, d))
-    state.nbr_mu = rng.normal(size=(n_nbrs, d))
+    state.w[:] = rng.normal(size=(n_nbrs, d))
+    state.lam_rows[:] = rng.normal(size=rows[-1])
+    state.mu[:] = rng.normal(size=(n_nbrs, d))
+    state.nbr_copy_of_me[:] = rng.normal(size=(n_nbrs, d))
+    state.nbr_xbar[:] = rng.normal(size=(n_nbrs, d))
+    state.nbr_mu[:] = rng.normal(size=(n_nbrs, d))
     return state
+
+
+def fresh_copy(a: AgentState) -> AgentState:
+    """An agent built fresh from a's linearization, holding a copy of a's
+    round state: nothing a kept from earlier updates carries over."""
+    fresh = AgentState(i=a.i, rho=a.rho, x_star=a.x_star, neighbors=a.neighbors,
+                       incident=a.incident, rows=a.rows, J=a.J, r=a.r)
+    for name in ("lam_rows", "x_bar", "mu", "w", "nbr_xbar", "nbr_mu",
+                 "nbr_copy_of_me"):
+        getattr(fresh, name)[:] = getattr(a, name)
+    return fresh
 
 
 def step3_objective(state: AgentState, xhat_i) -> float:

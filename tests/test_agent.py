@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from fdirnet.agent import AgentState
+from fdirnet.blocklin import BlockVec
+from fdirnet.measurements import eval_stack
 from fdirnet.prox import zero_test
+from fdirnet.solver import build_network
 
-from conftest import minimize_step3_direct, random_agent_state, step3_objective
+from conftest import (all_pairs_distance_stack, fresh_copy, geometric_positions,
+                      minimize_step3_direct, random_agent_state, step3_objective)
 
 
 def one_edge_state(J, r, x_star=(0.0, 0.0), neighbors=(1,), rho=1.0):
@@ -210,7 +214,7 @@ def test_primal_update_w_no_edges():
 def test_primal_update_w_gradient_vanishes(rng):
     for _ in range(20):
         s = random_agent_state(rng)
-        s.x_bar = rng.normal(size=s.n_i)
+        s.x_bar[:] = rng.normal(size=s.n_i)
         s.primal_update_w()
         # analytic gradient of the quadratic at the returned copies, one
         # neighbor slot and one edge at a time
@@ -225,7 +229,7 @@ def test_primal_update_w_gradient_vanishes(rng):
 
 def test_dual_update_running_sum(rng):
     s = random_agent_state(rng)
-    s.x_bar = rng.normal(size=s.n_i)
+    s.x_bar[:] = rng.normal(size=s.n_i)
     c_now = {l: s.constraint_c(l, s.x_bar) for l in s.incident}
     d_now = {j: s.constraint_d(j, s.x_bar) for j in s.neighbors}
     lam0 = {l: s.lam[l].copy() for l in s.incident}
@@ -245,8 +249,97 @@ def test_dual_update_running_sum(rng):
 
 def test_dual_update_no_violation_no_change():
     s = simple_state()
-    s.x_bar = np.zeros(2)
+    s.x_bar[:] = np.zeros(2)
     s.dual_update()
     assert np.array_equal(s.lam[0], np.zeros(1))
     assert np.array_equal(s.mu[0], np.zeros(2))
     assert s.violation_norms() == (0.0, 0.0)
+
+
+# ----- one buffer, each round quantity once ---------------------------
+
+def faulty_network(rng):
+    stack = all_pairs_distance_stack(5)
+    p_true = BlockVec.from_blocks(geometric_positions(rng, 5))
+    p_hat = p_true.copy()
+    p_hat.block(1)[:] -= [0.5, 0.5]
+    return build_network(stack, p_hat, eval_stack(stack, p_true),
+                         BlockVec(p_hat.structure), rho=1.0)
+
+
+def test_kept_violations_bit_equal_a_fresh_evaluation(rng):
+    # after a fast-path x-update, xbar = -x*, so the c and d the dual update
+    # evaluated are the next x-update's; its data and its result must
+    # bit-equal those of an evaluation from scratch
+    net = faulty_network(rng)
+    checked = 0
+    for _ in range(30):
+        net.run_iteration()
+        for a in net.ordered:
+            assert a.kept == a.fast_path
+            if a.kept:
+                assert np.array_equal(a.viol + a.duals, a._adjusted_violations())
+                fresh = fresh_copy(a)
+                assert not fresh.kept
+                assert np.array_equal(fresh.primal_update_x(), a.primal_update_x())
+                assert fresh.fast_path == a.fast_path
+                checked += 1
+    assert checked > 0
+
+
+def test_relinearize_and_w_update_drop_the_kept_violations(rng):
+    net = faulty_network(rng)
+    net.run_iteration()
+    a = next(a for a in net.ordered if a.kept)
+    a.primal_update_w()
+    assert not a.kept
+    a.dual_update()
+    assert a.kept
+    a.relinearize(a.J, a.r, a.x_star)
+    assert not a.kept and not a.fast_path
+    a.dual_update()  # xbar is 0 now, not -x*: nothing to keep
+    assert not a.kept
+
+
+def test_round_state_views_one_buffer(rng):
+    for _ in range(10):
+        s = random_agent_state(rng)
+        m, (k, d) = s.rows[-1], s.w.shape
+        buf = s.x_star.base
+        c, dv = s.viol[:m], s.viol[m:]
+        views = (s.x_star, s.H_inv, s.lam_rows, s.mu, s.x_bar, s.w, c, dv,
+                 s.nbr_xbar, s.nbr_mu, s.nbr_copy_of_me)
+        assert all(v.base is buf for v in views)
+        # the parts do not overlap, and [x_bar | w] is one run that J multiplies
+        parts = (s.x_star, s.H_inv, s.duals, s.xw, s.viol,
+                 s.nbr_xbar, s.nbr_mu, s.nbr_copy_of_me)
+        assert sum(p.size for p in parts) == buf.size
+        assert not any(np.shares_memory(p, q) for i, p in enumerate(parts)
+                       for q in parts[i + 1:])
+        assert s.xw.ctypes.data == s.x_bar.ctypes.data
+        assert s.w.ctypes.data == s.x_bar.ctypes.data + d * s.x_bar.itemsize
+        # a new linearization is written into the same buffer
+        s.relinearize(rng.normal(size=s.J.shape), rng.normal(size=s.r.shape),
+                      rng.normal(size=d))
+        assert s.x_star.base is buf and s.H_inv.base is buf
+
+
+@pytest.mark.parametrize("x_star", [np.zeros(3), 0.5])
+def test_relinearize_rejects_an_x_star_of_the_wrong_shape(rng, x_star):
+    # x* is copied into the agent's buffer, where a scalar would broadcast
+    s = random_agent_state(rng)
+    with pytest.raises(ValueError, match="do not fit"):
+        s.relinearize(s.J, s.r, x_star)
+
+
+def test_agent_holds_no_more_arrays_or_tuples_than_before(rng):
+    # each array or tuple an agent holds is one more object for a network's
+    # construction and teardown to pay for, n times; the agent holding its
+    # round state in separate arrays held 11 ndarray and 4 tuple attributes
+    s = random_agent_state(rng)
+    s.primal_update_x()
+    held = [getattr(s, name) for name in type(s).__slots__]
+    arrays = sum(isinstance(v, np.ndarray) for v in held)
+    tuples = sum(isinstance(v, tuple) for v in held)
+    assert arrays + tuples <= 15
+    assert not hasattr(s, "__dict__")

@@ -10,6 +10,7 @@ from fdirnet.netsim import (
     KIND_XBAR,
     PHASE_COPY,
     PHASE_XBAR,
+    SLOT_ARRAYS,
     dump_trace_csv,
     message_stats,
 )
@@ -210,3 +211,29 @@ def test_trace_csv_dump(tmp_path, rng):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "round,phase,sender,receiver,kind,payload_norm"
     assert len(lines) == len(net.trace) + 1
+
+
+def test_receive_slots_are_rows_of_the_network_inbox(rng):
+    # delivery is one gather per kind into the network's inbox; every agent
+    # reads its own rows of it
+    net, _ = make_net(rng, n=5)
+    for _ in range(2):
+        for kind, name in SLOT_ARRAYS.items():
+            inbox = net.inbox[kind]
+            assert inbox.shape == (net.bounds[-1], 2)
+            for a, lo, hi in zip(net.ordered, net.bounds, net.bounds[1:]):
+                slots = getattr(a, name)
+                assert slots.base is inbox
+                assert slots.shape == (hi - lo, 2)
+                assert slots.ctypes.data == inbox[lo:hi].ctypes.data
+        net.run_iteration()
+
+
+def test_send_block_of_the_wrong_width_rejected(rng):
+    net, _ = make_net(rng, n=4)
+    sends = honest_sends(net, PHASE_XBAR)
+    for blocks in ([b[:, :1] for b in sends[KIND_XBAR]],  # every block too narrow
+                   [b[:, :1] if k == 1 else b for k, b in enumerate(sends[KIND_XBAR])],
+                   [b[:, 0] for b in sends[KIND_XBAR]]):  # one-dimensional
+        with pytest.raises(ProtocolViolation):
+            net._deliver(PHASE_XBAR, {**sends, KIND_XBAR: blocks})

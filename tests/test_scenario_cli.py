@@ -1,4 +1,6 @@
 import copy
+import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +270,8 @@ def _shipped(name, mutate):
     true_state=[10 ** 400, 0.0])))
 @example(_shipped("triangle_diagnostics", lambda d: d["edges"][0].update(sigma=-10 ** 400)))
 @example(_shipped("circle_fault_free", lambda d: d["solver"].update(rho=10 ** 400)))
+# this one loaded YAML's true as agent id 1
+@example(_shipped("triangle_diagnostics", lambda d: d["edges"][0].update(members=[0, True])))
 def test_loader_fuzz_returns_a_scenario_or_scenario_error(doc):
     try:
         scenario_from_dict(doc)
@@ -275,9 +279,64 @@ def test_loader_fuzz_returns_a_scenario_or_scenario_error(doc):
         pass
 
 
+@pytest.mark.parametrize("mutate, field", [
+    (lambda d: d["edges"][0].update(members=[0, True]), r"edges\[0\]\.members"),
+    (lambda d: d["agents"][1].update(id=True), r"agents\[1\]\.id"),
+    (lambda d: d["agents"][2].update(id=False), r"agents\[2\]\.id"),
+    (lambda d: d.update(seed=True), "seed"),
+], ids=["member", "id-true", "id-false", "seed"])
+def test_yaml_booleans_are_not_integers(mutate, field):
+    # bool subclasses int, so true would otherwise read as 1 and false as 0
+    with pytest.raises(ScenarioError, match=field):
+        scenario_from_dict(_shipped("triangle_diagnostics", mutate))
+
+
+def overflowing_triangle():
+    # finite states whose squared separations overflow
+    return _shipped("triangle_diagnostics", lambda d: d["agents"][0].update(
+        true_state=[1.3407807929942597e+154, 0.0]))
+
+
+def test_overflowing_measurement_raises_scenario_error():
+    scn = scenario_from_dict(overflowing_triangle())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes either
+        with pytest.raises(ScenarioError, match=r"edges\[0\]: .* not finite"):
+            scn.measurements()
+
+
 # ---------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------
+
+def test_cli_run_overflowing_measurement_exits_with_error(tmp_path, capsys):
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(overflowing_triangle()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: edges[0]: ") and "not finite" in err
+
+
+def test_cli_report_counts_each_outer_iteration(tmp_path, capsys):
+    # one report line per outer iteration, and the trace files agree with it
+    out = tmp_path / "out"
+    scn = load_scenario(SCENARIOS / "circle_single_fault.yaml")
+    assert main(["run", "--scenario", str(SCENARIOS / "circle_single_fault.yaml"),
+                 "--out", str(out), "--quiet"]) == EXIT_OK
+    report = (out / "report.txt").read_text().splitlines()
+    loops = [line for line in report if line.startswith("  outer iteration ")]
+    traces = sorted(out.glob("trace_outer*.csv"))
+    assert len(loops) == len(traces) == 4
+    for k, line in enumerate(loops):
+        rows = list(csv.DictReader((out / f"trace_outer{k}.csv").open()))
+        stops = [row["stop"] for row in rows]
+        assert stops[:-1] == [""] * (len(rows) - 1) and stops[-1] in ("converged", "stalled")
+        prox = sum(scn.num_agents - int(row["fastpath_count"]) for row in rows)
+        assert line == (f"  outer iteration {k}: {len(rows)} rounds, "
+                        f"inner stop {stops[-1]}, {prox} prox calls")
 
 def test_cli_run_writes_report_and_traces(tmp_path, capsys):
     out = tmp_path / "out"
@@ -293,7 +352,7 @@ def test_cli_run_writes_report_and_traces(tmp_path, capsys):
     assert traces
     header = traces[0].read_text().splitlines()[0]
     assert header == ("outer_iter,inner_iter,max_c_norm,max_d_norm,"
-                      "l21_objective,meas_residual,fastpath_count")
+                      "l21_objective,meas_residual,fastpath_count,stop")
 
 
 def test_cli_run_out_of_outer_budget_exits_degraded(tmp_path, capsys):

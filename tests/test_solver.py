@@ -24,7 +24,7 @@ from fdirnet.solver import (
 )
 from fdirnet.topology import Hypergraph
 
-from conftest import all_pairs_distance_stack, geometric_positions, mixed_stack
+from conftest import all_pairs_distance_stack, fresh_copy, geometric_positions, mixed_stack
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -130,11 +130,7 @@ def test_relinearized_w_update_matches_a_fresh_agent(rng):
     relinearize(net, stack, p_point, y.data - eval_stack(stack, p_point).data, x_star)
     net.run_phase(PHASE_XBAR)
     for a in net.ordered:
-        fresh = AgentState(i=a.i, rho=a.rho, x_star=a.x_star, neighbors=a.neighbors,
-                           incident=a.incident, rows=a.rows, J=a.J, r=a.r)
-        for name in ("lam_rows", "x_bar", "mu", "w", "nbr_xbar", "nbr_mu",
-                     "nbr_copy_of_me"):
-            getattr(fresh, name)[:] = getattr(a, name)
+        fresh = fresh_copy(a)
         assert np.array_equal(fresh.primal_update_w(), a.primal_update_w())
         # the product with the stored inverse is the solve against this H
         d = a.n_i
@@ -148,7 +144,7 @@ def test_relinearized_w_update_matches_a_fresh_agent(rng):
 def force_prox(a: AgentState) -> np.ndarray:
     """An x-update that misses the fast path: the consensus duals are
     raised until the residual is far above the threshold."""
-    a.mu += 10.0
+    a.mu[:] += 10.0
     xbar = a.primal_update_x()
     assert not a.fast_path
     return xbar
@@ -162,20 +158,38 @@ def test_relinearized_x_update_matches_a_fresh_agent(rng):
     p_true, p_hat, y = planted_scenario(rng, stack, {1: [0.5, 0.5]})
     net = build_network(stack, p_hat, y, BlockVec(p_hat.structure), rho=1.0)
     x_star = inner_admm(net, InnerParams(max_inner_iters=20))[0]
+    # agents whose last x-update took the fast path keep the dual update's
+    # violations; relinearize must drop them with the old point
+    assert any(a.kept for a in net.ordered)
     for a in net.ordered:
         force_prox(a)
         assert a.prox is not None
     p_point = BlockVec(p_hat.structure, p_hat.data + x_star.data)
     relinearize(net, stack, p_point, y.data - eval_stack(stack, p_point).data, x_star)
     for a in net.ordered:
-        fresh = AgentState(i=a.i, rho=a.rho, x_star=a.x_star, neighbors=a.neighbors,
-                           incident=a.incident, rows=a.rows, J=a.J, r=a.r)
-        for name in ("lam_rows", "x_bar", "mu", "w", "nbr_xbar", "nbr_mu",
-                     "nbr_copy_of_me"):
-            getattr(fresh, name)[:] = getattr(a, name)
+        fresh = fresh_copy(a)
         assert np.array_equal(force_prox(fresh), force_prox(a))
         # and again once both have formed their prox operators
         assert np.array_equal(force_prox(fresh), force_prox(a))
+
+
+def test_x_update_after_an_out_of_order_w_update_matches_a_fresh_agent(rng):
+    # a w-update between the dual update and the x-update changes w, so the
+    # violations the dual update kept are stale; the x-update must then
+    # bit-equal that of an agent that never kept them
+    stack = all_pairs_distance_stack(5)
+    p_true, p_hat, y = planted_scenario(rng, stack, {1: [0.5, 0.5]})
+    net = build_network(stack, p_hat, y, BlockVec(p_hat.structure), rho=1.0)
+    inner_admm(net, InnerParams(max_inner_iters=20))
+    kept = [a for a in net.ordered if a.kept]
+    assert kept
+    for a in kept:
+        w = a.w.copy()
+        a.primal_update_w()  # the duals moved since the last w-update
+        assert not np.array_equal(a.w, w) and not a.kept
+        fresh = fresh_copy(a)
+        assert np.array_equal(fresh.primal_update_x(), a.primal_update_x())
+        assert fresh.fast_path == a.fast_path
 
 
 def test_inner_trace_rows_and_csv(tmp_path, rng):
@@ -188,8 +202,11 @@ def test_inner_trace_rows_and_csv(tmp_path, rng):
     res.trace.dump_inner_csv(path, 0)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("outer_iter,inner_iter,max_c_norm,max_d_norm,"
-                        "l21_objective,meas_residual,fastpath_count")
+                        "l21_objective,meas_residual,fastpath_count,stop")
     assert len(lines) == len(rows) + 1
+    # the loop's inner stop is written on the round it stopped at only
+    stops = [line.rsplit(",", 1)[1] for line in lines[1:]]
+    assert stops == [""] * (len(rows) - 1) + [res.trace.outer[0].inner_stop]
 
 
 def test_violations_decrease_on_feasible_system(rng):
