@@ -17,17 +17,18 @@ degree. With k neighbors and blocks of length d:
   * slots: ``mu``, ``w``, ``nbr_xbar``, ``nbr_mu`` and ``nbr_copy_of_me``
     are (k x d), row s belonging to neighbor ``neighbors[s]``.
 
-Every array but ``J`` and ``r`` views one buffer per agent,
-[x* | H^-1 | lam_rows, mu | x_bar, w | c, d | receive slots], with
-``duals`` = [lam_rows | mu], ``xw`` = [x_bar | w] (so ``J @ xw`` needs no
-concatenation) and ``viol`` = [c | d]; a ``Network`` moves the receive
-slots into its inbox. All code writes these views in place
+Every array views one segment of floats per agent, laid out by
+``segment_ends`` as [x* | H^-1 | lam_rows, mu | x_bar, w | c, d | receive
+slots | J | r], with ``duals`` = [lam_rows | mu], ``xw`` = [x_bar | w] (so
+``J @ xw`` needs no concatenation) and ``viol`` = [c | d]. A ``Network``
+carves the segments of all its agents from one arena; a standalone agent
+allocates its own. All code writes these views in place
 (``s.x_bar[:] = v``, never ``s.x_bar = v``).
 
 ``x_star``, ``J`` and ``r`` change once per linearization, and the agent
-takes each one itself (``relinearize``), checking its shape. Two operators
-are fixed for a whole linearization, so each is formed once for it and
-dropped at the next one:
+copies each one into its segment itself (``relinearize``), checking its
+shape. Two operators are fixed for a whole linearization, so each is
+formed once for it and dropped at the next one:
 
   * the w-update's inverse H^-1 = (I + J_n^T J_n)^-1, formed when the
     linearization is taken, so that each w-update is one matrix-vector
@@ -38,10 +39,11 @@ dropped at the next one:
     takes the fast path never forms it.
 
 Each round quantity is computed once: the dual update evaluates c and d
-at (xbar, w) into ``viol``, adds them to the duals, and ``violation_norms``
-reads them. The x-update's data is ``viol + duals`` with c and d at
-xhat = -x*, which is where a fast-path x-update leaves xbar; ``kept`` marks
-such a pair, and the w-update (a new w) and ``relinearize`` clear it.
+at (xbar, w) into ``viol``, adds them to the duals, and the round
+statistics (here or the network's) read them. The x-update's data is
+``viol + duals`` with c and d at xhat = -x*, which is where a fast-path
+x-update leaves xbar; ``kept`` marks such a pair, and the w-update (a new
+w) and ``relinearize`` clear it.
 
 Local constraint functions, with r the linearized measurement residual
 and J the Jacobian at the current linearization point:
@@ -59,13 +61,14 @@ and sqrt(rho) I per neighbor. Its closed-form zero test yields the
 thresholding fast path: xbar[i] = -x*[i] without any iterative solve
 whenever the agent's residual norm is at most 1/rho. Otherwise the agent
 solves the subproblem exactly through its secular equation
-(``prox.solve_exact``).
+(``prox.solve_exact``); ``prox_capped`` counts, per linearization, the
+solves that stopped at their step cap short of ``tol``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -84,6 +87,14 @@ class EdgeView(NamedTuple):
     r: np.ndarray
 
 
+def segment_ends(m, k, d):
+    """Where x*, H^-1, duals, xw, viol, the receive slots, J and r end in the
+    segment of an agent with m rows, k neighbors and blocks of d; the last
+    end is the segment's length. Elementwise on arrays of m and k."""
+    kd = k * d
+    return tuple(accumulate((d, kd * kd, m + kd, d + kd, m + kd, 3 * kd, m * (d + kd), m)))
+
+
 @dataclass(slots=True, eq=False)
 class AgentState:
     i: int
@@ -94,10 +105,12 @@ class AgentState:
     rows: np.ndarray  # row offsets of each incident edge (intp), len(incident) + 1
     J: np.ndarray  # local Jacobian, see the module docstring
     r: np.ndarray  # linearized residual per row
+    buf: InitVar[np.ndarray | None] = None  # a zeroed segment to live in, or a new one
     H_inv: np.ndarray = field(init=False)  # (I + J_n^T J_n)^-1, J_n the neighbor columns
     # the x-update's last prox problem (its A depends on J and rho only), None
     # until the first one of a linearization
     prox: ProxProblem | None = field(init=False, default=None)
+    prox_capped: int = field(init=False, default=0)  # this linearization's capped solves
 
     duals: np.ndarray = field(init=False)  # [lam_rows | mu], scaled duals
     # scaled edge dual per row and consensus dual per slot, views of duals
@@ -116,36 +129,37 @@ class AgentState:
     fast_path: bool = field(init=False, default=False)
     kept: bool = field(init=False, default=False)  # viol holds c, d at xhat = -x*
 
-    def __post_init__(self):
+    def __post_init__(self, buf):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         m, k, d = self.rows[-1], len(self.neighbors), len(self.x_star)
         # an index array once, not on every reduction over the edges' rows
         self.rows = np.asarray(self.rows, dtype=np.intp)
-        # the buffer of the module docstring, ending in the receive slots; at
-        # round 0 everything is zero, the copies too (xhat starts at 0)
+        # the segment of the module docstring; at round 0 everything is zero,
+        # the copies too (xhat starts at 0)
+        h, u, x, v, s, j, e = segment_ends(m, k, d)[1:]
+        buf = np.zeros(e) if buf is None else buf
+        if buf.shape != (e,):
+            raise ValueError(f"a segment of {buf.shape} floats, not ({e},)")
         kd = k * d
-        h, u, x, v = accumulate((d + kd * kd, m + kd, d + kd, m + kd))  # ends of H^-1 .. c, d
-        buf = np.zeros(v + 3 * kd)
-        x_star, self.H_inv = buf[:d], buf[d:h].reshape(kd, kd)
+        self.H_inv = buf[d:h].reshape(kd, kd)
         self.duals, self.xw, self.viol = buf[h:u], buf[u:x], buf[x:v]
         self.x_bar, self.w = buf[u:u + d], buf[u + d:x].reshape(k, d)
-        self.nbr_xbar, self.nbr_mu, self.nbr_copy_of_me = buf[v:].reshape(3, k, d)
-        x_star, self.x_star = self.x_star, x_star
-        self._take_linearization(self.J, self.r, x_star)
+        self.nbr_xbar, self.nbr_mu, self.nbr_copy_of_me = buf[v:s].reshape(3, k, d)
+        taken = self.J, self.r, self.x_star
+        self.J, self.r, self.x_star = buf[s:j].reshape(m, d + kd), buf[j:e], buf[:d]
+        self._take_linearization(*taken)
 
     def _take_linearization(self, J, r, x_star) -> None:
-        """Store (J, r), copy x* into the buffer, check their shapes, form
+        """Copy J, r and x* into the segment, checking their shapes, form
         H^-1 in place and drop the prox problem of the previous linearization."""
-        J = np.asarray(J, dtype=float)
-        r = np.asarray(r, dtype=float)
-        m, k, d = self.rows[-1], len(self.neighbors), self.n_i
-        if J.shape != (m, (1 + k) * d) or r.shape != (m,) or np.shape(x_star) != (d,):
-            raise ValueError(f"J {J.shape}, r {r.shape} and x* {np.shape(x_star)} do not "
-                             f"fit {m} rows, {k} neighbors and blocks of {d}")
-        self.x_star[:] = x_star
-        self.J, self.r = J, r
-        Jn = J[:, d:]
+        shapes = np.shape(J), np.shape(r), np.shape(x_star)
+        if shapes != (self.J.shape, self.r.shape, self.x_star.shape):
+            m, k = len(self.r), len(self.neighbors)
+            raise ValueError(f"J {shapes[0]}, r {shapes[1]} and x* {shapes[2]} do not fit "
+                             f"{m} rows, {k} neighbors and blocks of {self.n_i}")
+        self.J[:], self.r[:], self.x_star[:] = J, r, x_star
+        Jn = self.J[:, self.n_i:]
         H = Jn.T @ Jn
         H.flat[::H.shape[0] + 1] += 1.0  # H = I + J_n^T J_n
         self.H_inv[:] = np.linalg.inv(H)
@@ -159,6 +173,7 @@ class AgentState:
         self.nbr_copy_of_me -= self.x_bar
         self.x_bar[:] = 0.0
         self.kept = self.fast_path = False  # xbar is no longer -x*
+        self.prox_capped = 0
         self._take_linearization(J, r, x_star)
 
     @property
@@ -246,6 +261,8 @@ class AgentState:
         if not self.fast_path:
             sol = solve_prox(self._problem(ef), tol=tol)
             np.subtract(sol.v_star, self.x_star, out=self.x_bar)
+            if sol.stationarity_residual > tol:  # stopped at its step cap
+                self.prox_capped += 1
         return self.x_bar
 
     # ----- w-update ---------------------------------------------------

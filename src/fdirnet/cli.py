@@ -81,7 +81,8 @@ def _grade(scn: Scenario, result: SolveResult) -> FaultReport:
         true_faults=true_faults,
         # every x-update that missed the fast path made one prox call
         inner_loops=tuple((o.inner_iters, o.inner_stop,
-                           scn.num_agents * o.inner_iters - int(rows.fastpath_count.sum()))
+                           scn.num_agents * o.inner_iters - int(rows.fastpath_count.sum()),
+                           o.prox_capped)
                           for o, rows in zip(result.trace.outer, result.trace.inner)),
     )
 

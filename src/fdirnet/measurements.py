@@ -187,14 +187,24 @@ class MeasurementStack:
 
 
 def _eval_kinds(stack: MeasurementStack, p: BlockVec, jac: bool) -> list:
-    """(group, values, blocks or None) per kind; errors name the lowest edge."""
+    """(group, values, blocks or None) per kind; errors name the lowest edge,
+    and a value or block that overflowed to a non-finite entry is one."""
     states = p.data.reshape(-1, stack.d)
     out, errors = [], []
-    for group in stack._groups:
-        try:
-            out.append((group, *_model(group[0], states[group[2]], jac, edges=group[1])))
-        except DomainViolation as exc:
-            errors.append(exc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in stack._groups:
+            try:
+                y, J = _model(group[0], states[group[2]], jac, edges=group[1])
+            except DomainViolation as exc:
+                errors.append(exc)
+                continue
+            bad = ~np.isfinite(y).all(axis=1)
+            if jac:
+                bad |= ~np.isfinite(J).all(axis=(1, 2, 3))
+            if bad.any():
+                errors.append(DomainViolation("the measurement model is not finite",
+                                              edge=int(group[1][bad.argmax()])))
+            out.append((group, y, J))
     if errors:
         raise min(errors, key=lambda exc: exc.edge)
     return out

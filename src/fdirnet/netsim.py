@@ -8,29 +8,32 @@ Each inner iteration has three phases with a global barrier between them:
      each neighbor j its fresh copy w_i^(j);
   3. every agent runs its dual updates locally.
 
-Sends are the only cross-agent channel. Per kind, every agent hands over
-one send block with a row per neighbor, in its slot order. The routing is
-fixed by the neighbor tables: ``Network.route`` maps each receiver slot
-row ("i's slot for j", all agents' slot rows in id order) to the sender
-row that feeds it ("j's slot for i"), so no agent can reach a
-non-neighbor. The network owns one inbox per kind, holding those slot
-rows: on construction it copies each agent's receive slots in and hands
-the agent back views of its own rows, so delivery is one gather per kind,
-straight into the inbox. A phase that leaves out a kind, sends an unknown
-one or hands over a block without exactly one row per neighbor, of the
-block width, is a protocol violation, so no agent ever updates from data
-that never arrived. ``Message`` objects are built, and returned by
+Every agent lives in a contiguous segment of the network's one arena of
+floats, in the agent module's layout, built there and never moved. Sends
+are the only cross-agent channel: index maps into the arena, built once
+from the neighbor tables. ``route`` maps each slot row ("i's slot for j",
+all agents' slot rows in id order) to the row that feeds it ("j's slot
+for i"); finding it checks the tables (ascending, of other agents,
+symmetric), so no agent can reach a non-neighbor. ``delivery`` holds, per
+delivering phase, every receive-slot entry of its kinds and the sender's
+entry that feeds it: one take from the arena and one write back cover
+every slot, so no agent updates from data that did not arrive. The round
+statistics (``x_bars``, ``violation_norms``) read the agents' xbar, c and
+d through index maps too. ``Message`` objects are built, and returned by
 ``run_phase``, only when the trace is recorded.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .agent import AgentState
+from .agent import AgentState, segment_ends
 from .exceptions import ProtocolViolation
 
 PHASE_XBAR = 1
@@ -41,6 +44,9 @@ KIND_XBAR = "xbar"
 KIND_MU = "dual_mu"
 KIND_COPY = "copy_of_you"
 
+# the AgentState method each phase runs at every agent
+PHASE_UPDATES = {PHASE_XBAR: "primal_update_x", PHASE_COPY: "primal_update_w",
+                 PHASE_DUAL: "dual_update"}
 # the slot kinds each delivering phase writes, for every (receiver, neighbor)
 PHASE_KINDS = {PHASE_XBAR: (KIND_XBAR, KIND_MU), PHASE_COPY: (KIND_COPY,)}
 SLOT_ARRAYS = {KIND_XBAR: "nbr_xbar", KIND_MU: "nbr_mu", KIND_COPY: "nbr_copy_of_me"}
@@ -56,77 +62,108 @@ class Message:
     payload: np.ndarray  # read-only
 
 
+def _ranges(starts: np.ndarray, lengths) -> np.ndarray:
+    """The ranges [s, s + l) for each start s and length l, concatenated."""
+    lengths = np.broadcast_to(lengths, starts.shape)
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
+
+
 class Network:
     """A set of agents plus the sole communication channel between them."""
 
-    def __init__(self, agents: list[AgentState], record_trace: bool = False):
-        if any(a.i != i for i, a in enumerate(agents)):
-            raise ValueError("agents must be listed by id, from 0")
-        self.ordered = agents
-        self.agents = {a.i: a for a in agents}
+    def __init__(self, neighbors: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]],
+                 d: int, make_agent: Callable[[int, np.ndarray], AgentState],
+                 record_trace: bool = False):
+        """Agent i has the neighbors ``neighbors[i]``, its incident edges' row
+        offsets ``rows[i]`` and blocks of d, and ``make_agent(i, segment)``
+        builds it, with those tables, on its segment."""
+        n = len(neighbors)
+        k = np.fromiter(map(len, neighbors), np.intp, n)
+        m = np.fromiter((r[-1] for r in rows), np.intp, n)
+        # where lam, xw, viol and the receive slots start in each segment
+        _, lam, xw, viol, slots, _, _, size = segment_ends(m, k, d)
+        seg = np.cumsum(size) - size
+        self.arena = np.zeros(int(size.sum()))
+        self.d = d
         self.record_trace = record_trace
         self.trace: list[Message] = []
         self.round = 0
-        # slot rows of all agents in id order; route[q] is the sender row
-        # feeding receiver row q: "i's slot for j" <- "j's slot for i"
-        self.degrees = [len(a.neighbors) for a in agents]
-        self.bounds = np.cumsum([0] + self.degrees).tolist()
-        self.route = np.array([self.bounds[j] + agents[j].neighbors.index(a.i)
-                               for a in agents for j in a.neighbors], dtype=np.intp)
-        # one inbox per kind holding those slot rows; each agent views its own
-        self.inbox = {kind: np.concatenate([getattr(a, name) for a in agents])
-                      for kind, name in SLOT_ARRAYS.items()}
-        xbar, mu, copy = (self.inbox[kind] for kind in (KIND_XBAR, KIND_MU, KIND_COPY))
-        for a, lo, hi in zip(agents, self.bounds, self.bounds[1:]):
-            a.nbr_xbar, a.nbr_mu, a.nbr_copy_of_me = xbar[lo:hi], mu[lo:hi], copy[lo:hi]
 
-    def _deliver(self, phase: int, sends: dict[str, list[np.ndarray]]) -> list[Message]:
-        """Route each kind's send blocks, one per agent in id order."""
-        kinds = sorted(PHASE_KINDS.get(phase, ()))
-        if sorted(sends) != kinds:
-            raise ProtocolViolation(f"phase {phase} sent kinds {sorted(sends)}, not {kinds}")
-        sent = {}
-        for kind, blocks in sends.items():
-            try:  # fails on blocks of mixed widths or ranks
-                sent[kind] = np.concatenate(blocks)
-            except ValueError:
-                sent[kind] = None
-            # one row per neighbor from every agent, each row as wide as a slot
-            if sent[kind] is None or sent[kind].shape != self.inbox[kind].shape \
-                    or list(map(len, blocks)) != self.degrees:
-                raise ProtocolViolation(
-                    f"phase {phase} {kind!r} send blocks need one row per neighbor")
-            # route is in range by construction; "raise" would buffer the output
-            np.take(sent[kind], self.route, axis=0, out=self.inbox[kind], mode="clip")
+        # slot row q: agent i's slot for neighbor j, at offset at[q] of the arena
+        i = np.repeat(np.arange(n), k)
+        j = np.fromiter(chain.from_iterable(neighbors), np.intp, len(i))
+        key = i * n + j
+        self.route = np.searchsorted(key, j * n + i).clip(max=len(key) - 1)
+        if not (np.all((j >= 0) & (j < n) & (j != i)) and np.all(key[1:] > key[:-1])
+                and np.array_equal(key[self.route], j * n + i)):
+            raise ProtocolViolation("neighbor tables must be ascending, of other agents "
+                                    "and symmetric")
+        at = seg[i] + d * _ranges(0 * k, k)
+        mu, w = at + lam[i] + m[i], at + xw[i] + d  # the slot's mu and w rows
+        recv, kd = at + slots[i], d * k[i]
+        self.delivery = {
+            PHASE_XBAR: (_ranges(np.concatenate([recv, recv + kd]), d),
+                         _ranges(np.concatenate([(seg + xw)[j], mu[self.route]]), d)),
+            PHASE_COPY: (_ranges(recv + 2 * kd, d), _ranges(w[self.route], d)),
+        }
+
+        self.ordered = [make_agent(a, self.arena[lo:lo + size_a])
+                        for a, (lo, size_a) in enumerate(zip(seg.tolist(), size.tolist()))]
+        self.agents = {a.i: a for a in self.ordered}
+
+        # every c, then every d, and where each edge's rows start among the c:
+        # each agent's row offsets but its last, after the agents before it
+        self.xbar_map = _ranges(seg + xw, d)
+        self.c_entries = int(m.sum())
+        self.viol_map = np.concatenate([_ranges(seg + viol, m), _ranges(at + (viol + m)[i], d)])
+        lens = np.fromiter(map(len, rows), np.intp, n)
+        offsets = np.fromiter(chain.from_iterable(rows), np.intp, lens.sum())
+        self.c_starts = np.delete(offsets + np.repeat(np.cumsum(m) - m, lens), np.cumsum(lens) - 1)
+
+    def x_bars(self) -> np.ndarray:
+        """Every agent's xbar, one row per agent."""
+        return self.arena.take(self.xbar_map).reshape(-1, self.d)
+
+    def violation_norms(self) -> tuple[float, float]:
+        """(max ||c||, max ||d||) over every agent at its last dual update: the
+        largest of the agents' own ``violation_norms``, bit for bit, as each
+        sum of squares is taken by the same reduction (a d = 3 slot summed by
+        reduceat would differ in the last bit)."""
+        v = self.arena.take(self.viol_map)
+        v *= v
+        per_edge = np.add.reduceat(v[:self.c_entries], self.c_starts)
+        per_slot = np.add.reduce(v[self.c_entries:].reshape(-1, self.d), axis=1)
+        return (math.sqrt(np.maximum.reduce(per_edge, initial=0.0)),
+                math.sqrt(np.maximum.reduce(per_slot, initial=0.0)))
+
+    def _deliver(self, phase: int) -> list[Message]:
+        """Copy every receive slot the phase writes from its sender's entry."""
+        dst, src = self.delivery[phase]
+        sent = self.arena.take(src)
+        self.arena.put(dst, sent)
         if not self.record_trace:
             return []
-        agents = self.ordered
-        for payload in sent.values():
-            payload.flags.writeable = False  # so are the rows the messages carry
-        out = [Message(a.i, j, self.round, phase, kind, sent[kind][q])
-               for a, lo in zip(agents, self.bounds)
-               for q, j in enumerate(a.neighbors, lo) for kind in kinds]
+        kinds = PHASE_KINDS[phase]
+        # per kind, one row per slot row in sender order (route is an involution)
+        rows = sent.reshape(len(kinds), -1, self.d)[:, self.route]
+        rows.flags.writeable = False  # so are the rows the messages carry
+        by_kind = dict(zip(kinds, rows))
+        pairs = ((a.i, j) for a in self.ordered for j in a.neighbors)
+        out = [Message(i, j, self.round, phase, kind, by_kind[kind][q])
+               for q, (i, j) in enumerate(pairs) for kind in sorted(kinds)]
         self.trace.extend(out)
         return out
 
     def run_phase(self, phase: int) -> list[Message]:
         """Run one phase at every agent and deliver its sends."""
-        agents = self.ordered
-        if phase == PHASE_XBAR:
-            for a in agents:
-                a.primal_update_x()
-            return self._deliver(phase, {
-                KIND_XBAR: [a.x_bar[None].repeat(k, 0) for a, k in zip(agents, self.degrees)],
-                KIND_MU: [a.mu for a in agents]})
-        if phase == PHASE_COPY:
-            for a in agents:
-                a.primal_update_w()
-            return self._deliver(phase, {KIND_COPY: [a.w for a in agents]})
-        if phase == PHASE_DUAL:
-            for a in agents:
-                a.dual_update()
-            return []
-        raise ValueError(f"unknown phase {phase}")
+        if phase not in PHASE_UPDATES:
+            raise ValueError(f"unknown phase {phase}")
+        # looked up on every call, so that a wrapper put on the class applies
+        update = getattr(AgentState, PHASE_UPDATES[phase])
+        for a in self.ordered:
+            update(a)
+        return self._deliver(phase) if phase in self.delivery else []
 
     def run_iteration(self) -> None:
         for phase in (PHASE_XBAR, PHASE_COPY, PHASE_DUAL):

@@ -38,6 +38,7 @@ import numpy as np
 import yaml
 
 from .blocklin import BlockVec
+from .exceptions import DomainViolation
 from .measurements import MeasurementKind, MeasurementStack, eval_stack
 from .solver import InnerParams, OuterParams, is_finite_number
 from .topology import Hypergraph
@@ -64,9 +65,13 @@ class Scenario:
 
     def measurements(self) -> BlockVec:
         """y = Phi(true states) + seeded Gaussian noise; deterministic. A value
-        that overflows (states near 1e154) raises ScenarioError, not a warning."""
+        outside a model's domain or that overflows (states near 1e154) raises
+        ScenarioError naming the edge, not a warning."""
         with np.errstate(all="ignore"):
-            y = eval_stack(self.stack, self.true_states)
+            try:
+                y = eval_stack(self.stack, self.true_states)
+            except DomainViolation as exc:
+                raise ScenarioError(f"edges[{exc.edge}]: {exc}") from None
             if any(s > 0 for s in self.stack.sigmas):
                 rng = np.random.default_rng(self.seed)
                 for l, sigma in enumerate(self.stack.sigmas):
@@ -218,8 +223,8 @@ class FaultReport:
     recall: float
     max_block_error: float
     true_faults: frozenset
-    # per outer iteration: (inner rounds, inner stop, prox calls)
-    inner_loops: tuple[tuple[int, str, int], ...] = ()
+    # per outer iteration: (inner rounds, inner stop, prox calls, capped ones)
+    inner_loops: tuple[tuple[int, str, int, int], ...] = ()
 
     def to_text(self) -> str:
         lines = ["fault report", "============"]
@@ -232,9 +237,9 @@ class FaultReport:
         lines.append(f"outer iterations: {self.outer_iters}"
                      + (" (degraded convergence)" if self.degraded else ""))
         lines.append(f"outer stop: {self.outer_stop}")
-        for k, (rounds, stop, prox) in enumerate(self.inner_loops):
+        for k, (rounds, stop, prox, capped) in enumerate(self.inner_loops):
             lines.append(f"  outer iteration {k}: {rounds} rounds, inner stop {stop}, "
-                         f"{prox} prox calls")
+                         f"{prox} prox calls" + (f" ({capped} capped)" if capped else ""))
         lines.append("")
         lines.append("reconstructed error blocks:")
         for aid in sorted(self.block_norms):

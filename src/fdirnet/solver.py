@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -89,6 +90,7 @@ class OuterIterRow:
     inner_iters: int
     inner_converged: bool
     inner_stop: str  # "converged", "stalled" or "budget"
+    prox_capped: int  # prox solves stopped at their step cap short of tol
 
 
 @dataclass
@@ -114,25 +116,25 @@ class RunTrace:
 
 def _local_linearization(stack: MeasurementStack, R: BlockMat, resid: np.ndarray,
                          i: int, neighbors: tuple[int, ...],
-                         incident: tuple[int, ...]):
-    """Agent i's packed rows of the linearization: (row offsets, J, r), in
-    the layout of the agent module (edges ascending, columns [self | neighbors])."""
+                         incident: tuple[int, ...], rows):
+    """Agent i's packed rows of the linearization (J, r), in the layout of the
+    agent module (edges ascending, columns [self | neighbors]); ``rows`` are
+    its incident edges' row offsets."""
     d = stack.d
     col = {j: d * s for s, j in enumerate(neighbors, 1)}
     col[i] = 0
     offsets = R.row_structure.offsets
     edges, blocks = stack.graph.edges, R.blocks
-    gather, rows = [], [0]  # rows of resid, in the agent's order
+    gather = []  # rows of resid, in the agent's order
     for l in incident:
         gather.extend(range(offsets[l], offsets[l + 1]))
-        rows.append(len(gather))
     J = np.zeros((rows[-1], d * (len(neighbors) + 1)))
     for e, l in enumerate(incident):
         agent_rows = slice(rows[e], rows[e + 1])
         for j in edges[l]:
             c = col[j]
             J[agent_rows, c:c + d] = blocks[l, j]
-    return tuple(rows), J, resid[gather]
+    return J, resid[gather]
 
 
 def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
@@ -142,15 +144,17 @@ def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
     tables = build_tables(stack.graph)
     R = jacobian_stack(stack, p_point)
     resid = y.data - eval_stack(stack, p_point).data
-    agents = []
-    for i in range(stack.graph.num_vertices):
-        nbrs = tuple(sorted(tables.neighbors[i]))
-        rows, J, r = _local_linearization(stack, R, resid, i, nbrs,
-                                          tables.incident[i])
-        agents.append(AgentState(i=i, rho=rho, x_star=x_star.block(i),
-                                 neighbors=nbrs, incident=tables.incident[i],
-                                 rows=rows, J=J, r=r))
-    return Network(agents, record_trace=record_trace)
+    nbrs = [tuple(sorted(s)) for s in tables.neighbors]
+    lengths = stack.row_structure.lengths
+    rows = [tuple(accumulate((lengths[l] for l in ls), initial=0)) for ls in tables.incident]
+
+    def make_agent(i: int, segment: np.ndarray) -> AgentState:
+        # one agent's J at a time, copied into its segment and then dropped
+        J, r = _local_linearization(stack, R, resid, i, nbrs[i], tables.incident[i], rows[i])
+        return AgentState(i=i, rho=rho, x_star=x_star.block(i), neighbors=nbrs[i],
+                          incident=tables.incident[i], rows=rows[i], J=J, r=r, buf=segment)
+
+    return Network(nbrs, rows, stack.d, make_agent, record_trace=record_trace)
 
 
 def relinearize(network: Network, stack: MeasurementStack, p_point: BlockVec,
@@ -159,7 +163,7 @@ def relinearize(network: Network, stack: MeasurementStack, p_point: BlockVec,
     resid is y - Phi(p_point), which the outer loop has already evaluated."""
     R = jacobian_stack(stack, p_point)
     for a in network.ordered:
-        _, J, r = _local_linearization(stack, R, resid, a.i, a.neighbors, a.incident)
+        J, r = _local_linearization(stack, R, resid, a.i, a.neighbors, a.incident, a.rows)
         a.relinearize(J, r, x_star.block(a.i))
 
 
@@ -191,7 +195,7 @@ def inner_admm(network: Network, params: InnerParams):
     """
     agents = network.ordered
     x_star = np.array([a.x_star for a in agents])
-    xbar = np.array([a.x_bar for a in agents])
+    xbar = network.x_bars()
     rows: list[tuple] = []
     stop = "budget"
     levels: list[float] = []  # v_k per round
@@ -199,9 +203,8 @@ def inner_admm(network: Network, params: InnerParams):
     for _ in range(params.max_inner_iters):
         network.run_iteration()
 
-        prev_xbar, xbar = xbar, np.array([a.x_bar for a in agents])
-        max_c, max_d = np.array([a.violation_norms() for a in agents]).max(
-            axis=0, initial=0.0).tolist()
+        prev_xbar, xbar = xbar, network.x_bars()
+        max_c, max_d = network.violation_norms()
         rows.append((max_c, max_d, np.linalg.norm(x_star + xbar, axis=1).sum(),
                      sum(a.fast_path for a in agents)))
 
@@ -292,6 +295,7 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
             inner_iters=len(rows),
             inner_converged=converged,
             inner_stop=stop,
+            prox_capped=sum(a.prox_capped for a in network.ordered),
         ))
 
         # inner stalls along the way are expected while the linearization

@@ -308,11 +308,11 @@ def test_round_state_views_one_buffer(rng):
         buf = s.x_star.base
         c, dv = s.viol[:m], s.viol[m:]
         views = (s.x_star, s.H_inv, s.lam_rows, s.mu, s.x_bar, s.w, c, dv,
-                 s.nbr_xbar, s.nbr_mu, s.nbr_copy_of_me)
+                 s.nbr_xbar, s.nbr_mu, s.nbr_copy_of_me, s.J, s.r)
         assert all(v.base is buf for v in views)
         # the parts do not overlap, and [x_bar | w] is one run that J multiplies
         parts = (s.x_star, s.H_inv, s.duals, s.xw, s.viol,
-                 s.nbr_xbar, s.nbr_mu, s.nbr_copy_of_me)
+                 s.nbr_xbar, s.nbr_mu, s.nbr_copy_of_me, s.J, s.r)
         assert sum(p.size for p in parts) == buf.size
         assert not any(np.shares_memory(p, q) for i, p in enumerate(parts)
                        for q in parts[i + 1:])
@@ -322,6 +322,7 @@ def test_round_state_views_one_buffer(rng):
         s.relinearize(rng.normal(size=s.J.shape), rng.normal(size=s.r.shape),
                       rng.normal(size=d))
         assert s.x_star.base is buf and s.H_inv.base is buf
+        assert s.J.base is buf and s.r.base is buf
 
 
 @pytest.mark.parametrize("x_star", [np.zeros(3), 0.5])

@@ -3,19 +3,22 @@ import pytest
 
 from fdirnet.blocklin import BlockVec
 from fdirnet.exceptions import ProtocolViolation
-from fdirnet.measurements import eval_stack
+from fdirnet.measurements import MeasurementKind as K, MeasurementStack, eval_stack
 from fdirnet.netsim import (
     KIND_COPY,
     KIND_MU,
     KIND_XBAR,
     PHASE_COPY,
+    PHASE_DUAL,
+    PHASE_KINDS,
     PHASE_XBAR,
     SLOT_ARRAYS,
+    Network,
     dump_trace_csv,
     message_stats,
 )
 from fdirnet.solver import build_network
-from fdirnet.topology import build_tables
+from fdirnet.topology import Hypergraph, build_tables
 
 from conftest import geometric_positions, path_distance_stack
 
@@ -63,50 +66,6 @@ def test_messages_per_iteration_counting(rng):
     total_nbr = sum(len(tables.neighbors[i]) for i in range(5))
     assert per_kind == {KIND_XBAR: total_nbr, KIND_MU: total_nbr,
                         KIND_COPY: total_nbr}
-
-
-def honest_sends(net, phase):
-    """The send blocks ``run_phase`` hands to delivery, captured instead of
-    delivered."""
-    captured = {}
-    net._deliver = lambda ph, sends: captured.update(sends) or []
-    net.run_phase(phase)
-    del net._deliver
-    return captured
-
-
-def test_non_neighbor_send_rejected(rng):
-    # agent 0 of the path has one neighbor; a second row would be a send
-    # addressed past its neighbors
-    net, _ = make_net(rng, n=4)
-    sends = honest_sends(net, PHASE_XBAR)
-    blocks = list(sends[KIND_XBAR])
-    blocks[0] = np.vstack([blocks[0], np.zeros((1, 2))])
-    with pytest.raises(ProtocolViolation):
-        net._deliver(PHASE_XBAR, {**sends, KIND_XBAR: blocks})
-
-
-@pytest.mark.parametrize("phase", [PHASE_XBAR, PHASE_COPY])
-def test_undelivered_slot_rejected(rng, phase):
-    # a phase that drops any (receiver, neighbor, kind) row, leaves out a
-    # kind, sends an unknown one or sends nothing is a protocol violation
-    net, _ = make_net(rng, n=4)
-    if phase == PHASE_COPY:
-        net.run_phase(PHASE_XBAR)
-    sends = honest_sends(net, phase)
-    kind = sorted(sends)[0]
-    assert net._deliver(phase, sends) == []  # the honest sends deliver
-    for dropped in (slice(1, None), slice(None, -1)):
-        blocks = list(sends[kind])
-        blocks[1] = blocks[1][dropped]  # agent 1 has two neighbors
-        with pytest.raises(ProtocolViolation):
-            net._deliver(phase, {**sends, kind: blocks})
-    bad = [{k: v for k, v in sends.items() if k != kind},  # a missing kind
-           {**sends, "bogus": sends[kind]},  # an unknown kind
-           {}]
-    for tampered in bad:
-        with pytest.raises(ProtocolViolation):
-            net._deliver(phase, tampered)
 
 
 def test_routing_matches_per_slot_reads(rng, monkeypatch):
@@ -213,27 +172,146 @@ def test_trace_csv_dump(tmp_path, rng):
     assert len(lines) == len(net.trace) + 1
 
 
-def test_receive_slots_are_rows_of_the_network_inbox(rng):
-    # delivery is one gather per kind into the network's inbox; every agent
-    # reads its own rows of it
-    net, _ = make_net(rng, n=5)
-    for _ in range(2):
-        for kind, name in SLOT_ARRAYS.items():
-            inbox = net.inbox[kind]
-            assert inbox.shape == (net.bounds[-1], 2)
-            for a, lo, hi in zip(net.ordered, net.bounds, net.bounds[1:]):
-                slots = getattr(a, name)
-                assert slots.base is inbox
-                assert slots.shape == (hi - lo, 2)
-                assert slots.ctypes.data == inbox[lo:hi].ctypes.data
+# ----- one arena, index-mapped delivery, network-wide statistics ------
+
+def network_of(rng, graph, d=2):
+    """A network on graph with a faulty report and a random x*, so that every
+    agent's xbar is its own, nonzero block."""
+    stack = MeasurementStack(graph, d)
+    n = graph.num_vertices
+    p_true = BlockVec.from_blocks(geometric_positions(rng, n, d, min_sep=1.0))
+    p_hat = p_true.copy()
+    p_hat.block(n // 2)[:] += 0.4
+    x_star = BlockVec(p_hat.structure, rng.normal(scale=0.1, size=n * d))
+    return build_network(stack, p_hat, eval_stack(stack, p_true), x_star, rho=1.0)
+
+
+def mixed_arity_network(rng, d=2):
+    # arity-3 edges and uneven degrees: agent 5 has one neighbor, agent 2 four
+    return network_of(rng, Hypergraph(6, ((0, 1), (1, 2, 3), (2, 3, 4), (0, 2), (4, 5)),
+                                      (K.DISTANCE, K.TDOA, K.SUBTENDED_ANGLE, K.BEARING,
+                                       K.DISPLACEMENT)), d)
+
+
+def network_with_an_isolated_agent(rng):
+    return network_of(rng, Hypergraph(4, ((0, 1), (1, 3)), (K.DISTANCE, K.BEARING)))
+
+
+def lone_agent_network(rng):
+    return network_of(rng, Hypergraph(1, (), ()))
+
+
+@pytest.mark.parametrize("neighbors", [
+    ((1,), ()),  # 0 lists 1, 1 does not list 0
+    ((1,), (0,), (1,)),  # 2 lists 1, 1 does not list 2
+    ((0,), ()),  # an agent its own neighbor
+    ((2, 1), (0,), (0,)),  # not ascending
+    ((1,), (0, 2)),  # no agent 2
+], ids=["one-way", "one-way-later", "self", "descending", "out-of-range"])
+def test_malformed_neighbor_tables_rejected_at_construction(neighbors):
+    # no agent may reach a non-neighbor: the tables are checked before any
+    # agent is built
+    def make_agent(i, segment):
+        raise AssertionError("an agent was built")
+
+    with pytest.raises(ProtocolViolation, match="symmetric"):
+        Network(neighbors, [(0,)] * len(neighbors), 2, make_agent)
+
+
+def arena_entries(net):
+    """Arena index -> (agent, array name, slot or None, entry) of every xbar
+    and every slot array."""
+    owner = {}
+    for a in net.ordered:
+        for name in ("x_bar", "mu", "w") + tuple(SLOT_ARRAYS.values()):
+            v = getattr(a, name)
+            assert v.base is net.arena
+            first = (v.ctypes.data - net.arena.ctypes.data) // v.itemsize
+            for q, idx in enumerate(np.ndindex(v.shape)):
+                owner[first + q] = (a, name, idx[0] if v.ndim == 2 else None, idx[-1])
+    return owner
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_every_map_entry_feeds_a_slot_from_the_neighbor_that_owns_it(rng, d):
+    net = mixed_arity_network(rng, d)
+    owner = arena_entries(net)
+    sent_from = {KIND_XBAR: "x_bar", KIND_MU: "mu", KIND_COPY: "w"}
+    for phase, kinds in PHASE_KINDS.items():
+        dst, src = net.delivery[phase]
+        assert dst.dtype == src.dtype == np.intp and len(dst) == len(src)
+        for kind, to, frm in zip(kinds, np.split(dst, len(kinds)), np.split(src, len(kinds))):
+            slots = {q for q, (_, name, _, _) in owner.items() if name == SLOT_ARRAYS[kind]}
+            assert sorted(to) == sorted(slots)  # every slot entry, each once
+            for t, f in zip(to.tolist(), frm.tolist()):
+                receiver, _, s, e = owner[t]
+                sender, name, s_sent, e_sent = owner[f]
+                assert sender.i == receiver.neighbors[s]
+                assert name == sent_from[kind] and e_sent == e
+                if kind != KIND_XBAR:  # the sender's slot for the receiver
+                    assert sender.neighbors[s_sent] == receiver.i
+
+
+@pytest.mark.parametrize("phase", [PHASE_XBAR, PHASE_COPY])
+def test_each_delivering_phase_overwrites_every_receive_slot(rng, phase):
+    net = mixed_arity_network(rng)
+    net.run_iteration()  # nonzero duals and copies
+    if phase == PHASE_COPY:
+        net.run_phase(PHASE_XBAR)
+    for a in net.ordered:
+        for kind in PHASE_KINDS[phase]:
+            getattr(a, SLOT_ARRAYS[kind])[:] = np.nan
+    net.run_phase(phase)
+    for a in net.ordered:
+        for s, j in enumerate(a.neighbors):
+            b = net.agents[j]
+            t = b.neighbors.index(a.i)
+            sent = {KIND_XBAR: b.x_bar, KIND_MU: b.mu[t], KIND_COPY: b.w[t]}
+            for kind in PHASE_KINDS[phase]:
+                assert np.array_equal(getattr(a, SLOT_ARRAYS[kind])[s], sent[kind])
+
+
+@pytest.mark.parametrize("build", [mixed_arity_network,
+                                   lambda rng: mixed_arity_network(rng, d=3),
+                                   network_with_an_isolated_agent, lone_agent_network],
+                         ids=["mixed-arity", "mixed-arity-3d", "isolated", "lone"])
+def test_round_statistics_bit_equal_the_per_agent_loop(rng, build):
+    net = build(rng)
+    for _ in range(3):
         net.run_iteration()
+        norms = [a.violation_norms() for a in net.ordered]
+        assert net.violation_norms() == (max(c for c, _ in norms), max(d for _, d in norms))
+        assert np.array_equal(net.x_bars(), np.array([a.x_bar for a in net.ordered]))
+    assert net.x_bars().any()
 
 
-def test_send_block_of_the_wrong_width_rejected(rng):
+def test_every_agent_lives_in_its_own_segment_of_the_arena(rng):
+    net = mixed_arity_network(rng)
+    arena, end = net.arena, 0
+    for a in net.ordered:
+        views = (a.x_star, a.H_inv, a.duals, a.xw, a.viol, a.nbr_xbar, a.nbr_mu,
+                 a.nbr_copy_of_me, a.J, a.r)
+        assert all(v.base is arena for v in views)
+        starts = [(v.ctypes.data - arena.ctypes.data) // v.itemsize for v in views]
+        # the views tile one segment, which starts where the last one ended
+        assert min(starts) == end
+        end += sum(v.size for v in views)
+        assert max(s + v.size for s, v in zip(starts, views)) == end
+    assert end == arena.size
+
+
+def test_run_iteration_calls_run_phase_on_the_class_once_per_phase(rng, monkeypatch):
+    # the benchmark stamps each ADMM phase by wrapping Network.run_phase on
+    # the class; an iteration that went around it would leave it whole-solve
+    # times only
+    calls = []
+    run_phase = Network.run_phase
+
+    def stamped(self, phase):
+        calls.append(phase)
+        return run_phase(self, phase)
+
+    monkeypatch.setattr(Network, "run_phase", stamped)
     net, _ = make_net(rng, n=4)
-    sends = honest_sends(net, PHASE_XBAR)
-    for blocks in ([b[:, :1] for b in sends[KIND_XBAR]],  # every block too narrow
-                   [b[:, :1] if k == 1 else b for k, b in enumerate(sends[KIND_XBAR])],
-                   [b[:, 0] for b in sends[KIND_XBAR]]):  # one-dimensional
-        with pytest.raises(ProtocolViolation):
-            net._deliver(PHASE_XBAR, {**sends, KIND_XBAR: blocks})
+    net.run_iteration()
+    assert calls == [PHASE_XBAR, PHASE_COPY, PHASE_DUAL]

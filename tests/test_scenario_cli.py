@@ -448,3 +448,32 @@ def test_cli_rho_override_round_trips(tmp_path, capsys):
                  "--out", str(out), "--rho", "2.0", "--quiet"])
     assert code == EXIT_OK
     assert "identified faulty agents: 2" in (out / "report.txt").read_text()
+
+
+def test_cli_run_non_finite_linearization_exits_with_error(tmp_path, capsys):
+    # true states are fine, but the reported one overflows the linearization
+    doc = _shipped("triangle_diagnostics", lambda d: d["agents"][0].update(
+        reported_state=[1.3407807929942597e+154, 0.0]))
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err and "Traceback" not in err
+
+
+def test_cli_report_shows_capped_prox_solves(tmp_path, monkeypatch):
+    import functools
+
+    import fdirnet.agent
+    from fdirnet.prox import solve_exact
+
+    monkeypatch.setattr(fdirnet.agent, "solve_prox", functools.partial(solve_exact, max_iters=0))
+    out = tmp_path / "out"
+    main(["run", "--scenario", str(SCENARIOS / "mixed_chain_fault.yaml"),
+          "--out", str(out), "--quiet"])
+    loops = [line for line in (out / "report.txt").read_text().splitlines()
+             if line.startswith("  outer iteration ")]
+    assert loops and all(line.endswith(" capped)") for line in loops)

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import gc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +10,10 @@ import yaml
 
 from fdirnet.agent import AgentState
 from fdirnet.blocklin import BlockVec
-from fdirnet.measurements import MeasurementKind, MeasurementStack, eval_stack
+from fdirnet.exceptions import DomainViolation
+from fdirnet.measurements import MeasurementKind, MeasurementStack, eval_stack, jacobian_stack
 from fdirnet.netsim import PHASE_XBAR
+from fdirnet.prox import solve_exact
 from fdirnet.scenario import load_scenario, scenario_from_dict
 from fdirnet.solver import (
     PLATEAU_LAG,
@@ -389,3 +393,40 @@ def test_agent_state_size_independent_of_degree(rng):
     net.run_iteration()
     counts = {held_containers(a) for a in net.agents.values()}
     assert len(counts) == 1 and counts.pop() <= 20
+
+
+@pytest.mark.parametrize("agent, edge", [(0, 0), (2, 1)])
+def test_non_finite_linearization_names_the_lowest_edge(agent, edge):
+    # a finite report whose squared separations overflow: the linearization
+    # is not finite, which is a domain violation on the lowest such edge
+    scn = load_scenario(SCENARIOS / "triangle_diagnostics.yaml")
+    y = scn.measurements()
+    p_hat = scn.reported_states.copy()
+    p_hat.block(agent)[:] = [1.3407807929942597e+154, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes either
+        for evaluate in (eval_stack, jacobian_stack):
+            with pytest.raises(DomainViolation, match="not finite") as exc:
+                evaluate(scn.stack, p_hat)
+            assert exc.value.edge == edge
+        with pytest.raises(DomainViolation, match="outer iteration 0") as exc:
+            outer_scp(scn.stack, p_hat, y, scn.inner_params, scn.outer_params)
+    assert exc.value.edge == edge
+
+
+def test_capped_prox_solves_are_counted(monkeypatch):
+    # a prox solve stopped at its step cap short of tol counts as capped, per
+    # linearization; the default cap is never reached on a shipped scenario
+    import fdirnet.agent
+
+    scn = load_scenario(SCENARIOS / "mixed_chain_fault.yaml")
+    y = scn.measurements()
+    res = outer_scp(scn.stack, scn.reported_states, y, scn.inner_params, scn.outer_params)
+    assert [o.prox_capped for o in res.trace.outer] == [0] * res.outer_iters
+    monkeypatch.setattr(fdirnet.agent, "solve_prox", functools.partial(solve_exact, max_iters=0))
+    res = outer_scp(scn.stack, scn.reported_states, y, scn.inner_params, scn.outer_params)
+    capped = [o.prox_capped for o in res.trace.outer]
+    assert sum(capped) > 0
+    # relinearize starts each count afresh: none exceeds its loop's prox calls
+    for k, rows in zip(capped, res.trace.inner):
+        assert k <= scn.num_agents * len(rows) - rows.fastpath_count.sum()
