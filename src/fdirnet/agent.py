@@ -1,78 +1,64 @@
 """Per-agent ADMM state and the round updates.
 
 Each agent i owns its error increment block xhat[i] (reported through
-xbar[i]), copies w[j] of each neighbor's block, one scaled dual per
-incident hyperedge constraint and one per pairwise consensus constraint.
-Only scaled duals (dual / rho) are ever stored; they evolve as running
-sums of constraint violations.
+xbar[i]), copies w[j] of each neighbor's block and scaled duals (dual /
+rho, running sums of violations): one per row of its incident hyperedges
+and one per pairwise consensus constraint.
 
-The state is packed into a fixed set of arrays whatever the agent's
-degree. With k neighbors and blocks of length d:
-
-  * rows: the rows of every incident edge, edges in ascending index
-    order; ``rows[e]:rows[e + 1]`` are the rows of ``incident[e]``.
-    ``J`` (rows x (1 + k) d), ``r``, ``lam_rows`` and c share this order.
-  * columns of ``J``: d wide per block, own block first, then one slot per
-    neighbor in ascending id order.
-  * slots: ``mu``, ``w``, ``nbr_xbar``, ``nbr_mu`` and ``nbr_copy_of_me``
-    are (k x d), row s belonging to neighbor ``neighbors[s]``.
-
-Every array views one segment of floats per agent, laid out by
-``segment_ends`` as [x* | H^-1 | lam_rows, mu | x_bar, w | c, d | receive
-slots | J | r], with ``duals`` = [lam_rows | mu], ``xw`` = [x_bar | w] (so
-``J @ xw`` needs no concatenation) and ``viol`` = [c | d]. A ``Network``
-carves the segments of all its agents from one arena; a standalone agent
-allocates its own. All code writes these views in place
+An agent with m rows, k neighbors and blocks of d holds its state in one
+segment of floats, declared once by ``FIELDS``: every field in order with
+its shape. The rows are its incident edges' in ascending order
+(``rows[e]:rows[e + 1]`` belong to ``incident[e]``); J's columns are d per
+block, its own first; row s of a (k, d) field belongs to ``neighbors[s]``.
+``RUNS`` are the spans the updates use as one vector: ``duals`` =
+[lam_rows | mu], ``xw`` = [x_bar | w] (so ``J @ xw`` needs no
+concatenation) and ``viol`` = [c | d]. The agent holds views of all but
+lam_rows and mu (read from ``duals``) and c and d (from ``viol``). A
+``Network`` carves every agent's segment from one arena by ``layout``; a
+standalone agent allocates its own. All code writes the views in place
 (``s.x_bar[:] = v``, never ``s.x_bar = v``).
 
-``x_star``, ``J`` and ``r`` change once per linearization, and the agent
-copies each one into its segment itself (``relinearize``), checking its
-shape. Two operators are fixed for a whole linearization, so each is
-formed once for it and dropped at the next one:
-
-  * the w-update's inverse H^-1 = (I + J_n^T J_n)^-1, formed when the
-    linearization is taken, so that each w-update is one matrix-vector
-    product;
-  * the x-update's prox matrix A with the eigendecomposition of A^T A,
-    formed on the first x-update that misses the fast path; later ones
-    build and check only the new right-hand side. An agent that always
-    takes the fast path never forms it.
+``relinearize`` copies x*, J and r into the segment, checking their
+shapes, once per linearization. Two operators are formed once for it: the
+w-update's H^-1 = (I + J_n^T J_n)^-1, and, on the first x-update that
+misses the fast path, the prox matrix A with the eigendecomposition of
+A^T A (later ones only build and check the new right-hand side).
 
 Each round quantity is computed once: the dual update evaluates c and d
-at (xbar, w) into ``viol``, adds them to the duals, and the round
-statistics (here or the network's) read them. The x-update's data is
-``viol + duals`` with c and d at xhat = -x*, which is where a fast-path
-x-update leaves xbar; ``kept`` marks such a pair, and the w-update (a new
-w) and ``relinearize`` clear it.
+at (xbar, w) into ``viol`` and adds them to the duals, and the round
+statistics read them there. The x-update's data is ``viol + duals`` with c
+and d at xhat = -x*, where a fast-path x-update leaves xbar; ``kept``
+marks such a pair, and the w-update and ``relinearize`` clear it.
 
-Local constraint functions, with r the linearized measurement residual
-and J the Jacobian at the current linearization point:
+With r the linearized measurement residual and J the Jacobian at the
+current linearization point, the local constraints are
 
     c_i(xhat_i, w) = J [xhat_i; w] - r             (one row per edge row)
     d_i^j(xhat_i)  = xhat_i - (neighbor j's copy of block i)
 
-The x-update is the minimization of
+and the x-update minimizes
 
-    ||x*[i] + xhat_i|| + rho/2 ( ||c_i + lam||^2 + sum_j ||d_i^j + mu[j]||^2 )
+    ||x*[i] + xhat_i|| + rho/2 ( ||c_i + lam||^2 + sum_j ||d_i^j + mu[j]||^2 ),
 
-which, after the change of variables v = x*[i] + xhat_i, is exactly a
-ProxProblem with A_i stacking sqrt(rho) times the own-block columns of J
-and sqrt(rho) I per neighbor. Its closed-form zero test yields the
-thresholding fast path: xbar[i] = -x*[i] without any iterative solve
-whenever the agent's residual norm is at most 1/rho. Otherwise the agent
-solves the subproblem exactly through its secular equation
-(``prox.solve_exact``); ``prox_capped`` counts, per linearization, the
-solves that stopped at their step cap short of ``tol``.
+a ProxProblem in v = x*[i] + xhat_i with A_i stacking sqrt(rho) times the
+own-block columns of J and sqrt(rho) I per neighbor. Its closed-form zero
+test is the fast path: xbar[i] = -x*[i] whenever the agent's residual
+norm is at most 1/rho. Otherwise ``prox.solve_exact`` solves it exactly;
+``prox_capped`` counts, per linearization, the solves stopped at their
+step cap; a problem whose solve would overflow (a huge rho) raises
+``NumericalOverflow`` instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
+
+from .exceptions import NumericalOverflow
 
 # The exact solver is bound under the name ``solve_prox``: benchmark
 # tracing wraps ``agent.solve_prox`` by name to time and count the prox
@@ -87,12 +73,34 @@ class EdgeView(NamedTuple):
     r: np.ndarray
 
 
-def segment_ends(m, k, d):
-    """Where x*, H^-1, duals, xw, viol, the receive slots, J and r end in the
-    segment of an agent with m rows, k neighbors and blocks of d; the last
-    end is the segment's length. Elementwise on arrays of m and k."""
-    kd = k * d
-    return tuple(accumulate((d, kd * kd, m + kd, d + kd, m + kd, 3 * kd, m * (d + kd), m)))
+# every field of the segment in order, with its shape over m rows, k
+# neighbors and blocks of d (kd = k d, and J has n = (1 + k) d columns)
+FIELDS = {"x_star": "d", "H_inv": "kd kd", "lam_rows": "m", "mu": "k d", "x_bar": "d",
+          "w": "k d", "c": "m", "d": "k d", "nbr_xbar": "k d", "nbr_mu": "k d",
+          "nbr_copy_of_me": "k d", "J": "m n", "r": "m"}
+# runs of consecutive fields that the updates read and write as one vector
+RUNS = {"duals": ("lam_rows", "mu"), "xw": ("x_bar", "w"), "viol": ("c", "d")}
+
+
+def layout(m, k, d):
+    """{name: (start, stop, shape)} of every field and run, and the segment
+    size, for m rows, k neighbors and blocks of d; elementwise on arrays."""
+    dims = {"m": m, "k": k, "d": d, "kd": k * d, "n": (1 + k) * d}
+    at, end = {}, 0
+    for name, shape in FIELDS.items():
+        shape = tuple(dims[s] for s in shape.split())
+        start, end = end, end + math.prod(shape)
+        at[name] = start, end, shape
+    for run, (first, last) in RUNS.items():
+        at[run] = at[first][0], at[last][1], (at[last][1] - at[first][0],)
+    return at, end
+
+
+@functools.lru_cache(maxsize=256)  # layout costs more than the carving
+def _held(m, k, d):
+    """(name, start, stop, shape) of each view an agent holds, and the size."""
+    at, size = layout(m, k, d)
+    return tuple((name, *at[name]) for name in at if name in AgentState.__slots__), size
 
 
 @dataclass(slots=True, eq=False)
@@ -102,13 +110,12 @@ class AgentState:
     x_star: np.ndarray  # accumulated error estimate block x*[i]
     neighbors: tuple[int, ...]  # ascending; slot s belongs to neighbors[s]
     incident: tuple[int, ...]  # ascending incident edge indices
-    rows: np.ndarray  # row offsets of each incident edge (intp), len(incident) + 1
+    rows: tuple[int, ...]  # row offsets of each incident edge, len(incident) + 1
     J: np.ndarray  # local Jacobian, see the module docstring
     r: np.ndarray  # linearized residual per row
     buf: InitVar[np.ndarray | None] = None  # a zeroed segment to live in, or a new one
     H_inv: np.ndarray = field(init=False)  # (I + J_n^T J_n)^-1, J_n the neighbor columns
-    # the x-update's last prox problem (its A depends on J and rho only), None
-    # until the first one of a linearization
+    # the x-update's last prox problem (A depends on J and rho only), if any
     prox: ProxProblem | None = field(init=False, default=None)
     prox_capped: int = field(init=False, default=0)  # this linearization's capped solves
 
@@ -132,22 +139,15 @@ class AgentState:
     def __post_init__(self, buf):
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        m, k, d = self.rows[-1], len(self.neighbors), len(self.x_star)
-        # an index array once, not on every reduction over the edges' rows
-        self.rows = np.asarray(self.rows, dtype=np.intp)
-        # the segment of the module docstring; at round 0 everything is zero,
-        # the copies too (xhat starts at 0)
-        h, u, x, v, s, j, e = segment_ends(m, k, d)[1:]
-        buf = np.zeros(e) if buf is None else buf
-        if buf.shape != (e,):
-            raise ValueError(f"a segment of {buf.shape} floats, not ({e},)")
-        kd = k * d
-        self.H_inv = buf[d:h].reshape(kd, kd)
-        self.duals, self.xw, self.viol = buf[h:u], buf[u:x], buf[x:v]
-        self.x_bar, self.w = buf[u:u + d], buf[u + d:x].reshape(k, d)
-        self.nbr_xbar, self.nbr_mu, self.nbr_copy_of_me = buf[v:s].reshape(3, k, d)
+        # at round 0 everything is zero, the copies too (xhat starts at 0)
+        held, size = _held(self.rows[-1], len(self.neighbors), len(self.x_star))
+        buf = np.zeros(size) if buf is None else buf
+        if buf.shape != (size,):
+            raise ValueError(f"a segment of {buf.shape} floats, not ({size},)")
         taken = self.J, self.r, self.x_star
-        self.J, self.r, self.x_star = buf[s:j].reshape(m, d + kd), buf[j:e], buf[:d]
+        for name, lo, hi, shape in held:  # lam_rows, mu, c and d are read from runs
+            v = buf[lo:hi]
+            setattr(self, name, v.reshape(shape) if len(shape) > 1 else v)
         self._take_linearization(*taken)
 
     def _take_linearization(self, J, r, x_star) -> None:
@@ -155,9 +155,8 @@ class AgentState:
         H^-1 in place and drop the prox problem of the previous linearization."""
         shapes = np.shape(J), np.shape(r), np.shape(x_star)
         if shapes != (self.J.shape, self.r.shape, self.x_star.shape):
-            m, k = len(self.r), len(self.neighbors)
             raise ValueError(f"J {shapes[0]}, r {shapes[1]} and x* {shapes[2]} do not fit "
-                             f"{m} rows, {k} neighbors and blocks of {self.n_i}")
+                             f"{self.J.shape}, {self.r.shape} and {self.x_star.shape}")
         self.J[:], self.r[:], self.x_star[:] = J, r, x_star
         Jn = self.J[:, self.n_i:]
         H = Jn.T @ Jn
@@ -257,8 +256,12 @@ class AgentState:
             np.negative(self.x_star, out=self.x_bar)
             self._violations(self.xw, self.viol)
         ef = self.viol + self.duals
-        self.fast_path = self._residual(ef) <= 1.0 / self.rho
+        res = self._residual(ef)
+        self.fast_path = res <= 1.0 / self.rho
         if not self.fast_path:
+            if self.rho * res > 1e154:  # ||A^T b||; the solve squares it, overflowing at 1.3e154
+                raise NumericalOverflow(f"agent {self.i}: the x-update's prox problem leaves "
+                                        f"the floating-point range at rho = {self.rho:g}")
             sol = solve_prox(self._problem(ef), tol=tol)
             np.subtract(sol.v_star, self.x_star, out=self.x_bar)
             if sol.stationarity_residual > tol:  # stopped at its step cap
@@ -272,11 +275,9 @@ class AgentState:
 
             ||c_i(xbar_i, w) + lam||^2 + sum_j ||xbar[j] - w[j] + mu_j^(i)||^2
 
-        With J_n the neighbor columns of J, the normal equations are
-        H w = xbar + mu - J_n^T (c_i(xbar_i, 0) + lam), with H = I + J_n^T J_n;
-        the identity puts every eigenvalue of H at 1 or above, so H is
-        invertible, and its inverse, formed once per linearization, gives w
-        as one product.
+        With J_n the neighbor columns of J, the normal equations are H w =
+        xbar + mu - J_n^T (c_i(xbar_i, 0) + lam), H = I + J_n^T J_n, whose
+        eigenvalues are all at least 1: w is one product with H^-1.
         """
         self.kept = False
         if not self.neighbors:

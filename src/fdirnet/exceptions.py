@@ -34,5 +34,10 @@ class ConvergenceFailure(FdirError):
         self.iterations = iterations
 
 
+class NumericalOverflow(FdirError):
+    """A computation would leave the floating-point range, e.g. the prox
+    subproblem of a huge rho."""
+
+
 class InfeasibleError(FdirError):
     """A constraint system has no solution within tolerance."""

@@ -8,19 +8,17 @@ Each inner iteration has three phases with a global barrier between them:
      each neighbor j its fresh copy w_i^(j);
   3. every agent runs its dual updates locally.
 
-Every agent lives in a contiguous segment of the network's one arena of
-floats, in the agent module's layout, built there and never moved. Sends
-are the only cross-agent channel: index maps into the arena, built once
-from the neighbor tables. ``route`` maps each slot row ("i's slot for j",
-all agents' slot rows in id order) to the row that feeds it ("j's slot
-for i"); finding it checks the tables (ascending, of other agents,
-symmetric), so no agent can reach a non-neighbor. ``delivery`` holds, per
-delivering phase, every receive-slot entry of its kinds and the sender's
-entry that feeds it: one take from the arena and one write back cover
-every slot, so no agent updates from data that did not arrive. The round
-statistics (``x_bars``, ``violation_norms``) read the agents' xbar, c and
-d through index maps too. ``Message`` objects are built, and returned by
-``run_phase``, only when the trace is recorded.
+Every agent lives in its own segment of the network's one arena of floats.
+Sends are the only cross-agent channel: index maps into the arena, built
+once from the neighbor tables and, by field name, the agent ``layout``.
+``route`` maps each slot row ("i's slot for j", in id order) to the row
+that feeds it ("j's slot for i"); finding it checks the tables (ascending,
+of other agents, symmetric), so no agent can reach a non-neighbor.
+``delivery`` pairs, per delivering phase, every entry of its receive slots
+(``SLOT_ARRAYS``) with the sender's entry (``SENT_FIELDS``) that feeds it:
+one take and one write back cover every slot. The round statistics read
+every xbar, c and d through index maps too. ``Message`` objects are built,
+and returned by ``run_phase``, only when the trace is recorded.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from itertools import chain
 
 import numpy as np
 
-from .agent import AgentState, segment_ends
+from .agent import AgentState, layout
 from .exceptions import ProtocolViolation
 
 PHASE_XBAR = 1
@@ -50,6 +48,7 @@ PHASE_UPDATES = {PHASE_XBAR: "primal_update_x", PHASE_COPY: "primal_update_w",
 # the slot kinds each delivering phase writes, for every (receiver, neighbor)
 PHASE_KINDS = {PHASE_XBAR: (KIND_XBAR, KIND_MU), PHASE_COPY: (KIND_COPY,)}
 SLOT_ARRAYS = {KIND_XBAR: "nbr_xbar", KIND_MU: "nbr_mu", KIND_COPY: "nbr_copy_of_me"}
+SENT_FIELDS = {KIND_XBAR: "x_bar", KIND_MU: "mu", KIND_COPY: "w"}  # the sender's field per kind
 
 
 @dataclass(frozen=True, eq=False)  # messages compare by identity, not payload
@@ -81,17 +80,16 @@ class Network:
         n = len(neighbors)
         k = np.fromiter(map(len, neighbors), np.intp, n)
         m = np.fromiter((r[-1] for r in rows), np.intp, n)
-        # where lam, xw, viol and the receive slots start in each segment
-        _, lam, xw, viol, slots, _, _, size = segment_ends(m, k, d)
+        at, size = layout(m, k, d)
         seg = np.cumsum(size) - size
+        start = {name: seg + lo for name, (lo, _, _) in at.items()}  # per agent, in the arena
         self.arena = np.zeros(int(size.sum()))
         self.d = d
         self.record_trace = record_trace
         self.trace: list[Message] = []
         self.round = 0
 
-        # slot row q: agent i's slot for neighbor j, at offset at[q] of the arena
-        i = np.repeat(np.arange(n), k)
+        i = np.repeat(np.arange(n), k)  # slot row q: agent i's slot for neighbor j
         j = np.fromiter(chain.from_iterable(neighbors), np.intp, len(i))
         key = i * n + j
         self.route = np.searchsorted(key, j * n + i).clip(max=len(key) - 1)
@@ -99,14 +97,19 @@ class Network:
                 and np.array_equal(key[self.route], j * n + i)):
             raise ProtocolViolation("neighbor tables must be ascending, of other agents "
                                     "and symmetric")
-        at = seg[i] + d * _ranges(0 * k, k)
-        mu, w = at + lam[i] + m[i], at + xw[i] + d  # the slot's mu and w rows
-        recv, kd = at + slots[i], d * k[i]
-        self.delivery = {
-            PHASE_XBAR: (_ranges(np.concatenate([recv, recv + kd]), d),
-                         _ranges(np.concatenate([(seg + xw)[j], mu[self.route]]), d)),
-            PHASE_COPY: (_ranges(recv + 2 * kd, d), _ranges(w[self.route], d)),
-        }
+        row = d * _ranges(0 * k, k)  # slot row q's offset in a (k, d) field of agent i
+
+        def slot_rows(name):
+            return start[name][i] + row
+
+        self.delivery = {}
+        for phase, kinds in PHASE_KINDS.items():
+            # a (d,) field goes whole to every neighbor, a (k, d) field as the
+            # row of the sender's slot for the receiver
+            src = [start[f][j] if len(at[f][2]) == 1 else slot_rows(f)[self.route]
+                   for f in map(SENT_FIELDS.get, kinds)]
+            dst = [slot_rows(SLOT_ARRAYS[kind]) for kind in kinds]
+            self.delivery[phase] = _ranges(np.concatenate(dst), d), _ranges(np.concatenate(src), d)
 
         self.ordered = [make_agent(a, self.arena[lo:lo + size_a])
                         for a, (lo, size_a) in enumerate(zip(seg.tolist(), size.tolist()))]
@@ -114,9 +117,9 @@ class Network:
 
         # every c, then every d, and where each edge's rows start among the c:
         # each agent's row offsets but its last, after the agents before it
-        self.xbar_map = _ranges(seg + xw, d)
+        self.xbar_map = _ranges(start["x_bar"], d)
         self.c_entries = int(m.sum())
-        self.viol_map = np.concatenate([_ranges(seg + viol, m), _ranges(at + (viol + m)[i], d)])
+        self.viol_map = np.concatenate([_ranges(start["c"], m), _ranges(slot_rows("d"), d)])
         lens = np.fromiter(map(len, rows), np.intp, n)
         offsets = np.fromiter(chain.from_iterable(rows), np.intp, lens.sum())
         self.c_starts = np.delete(offsets + np.repeat(np.cumsum(m) - m, lens), np.cumsum(lens) - 1)
@@ -172,11 +175,8 @@ class Network:
 
 
 def message_stats(trace: list[Message]) -> dict[int, dict]:
-    """Per-agent outgoing message and float counts, per round.
-
-    Costs depend only on the agent's neighborhood and block sizes, never on
-    the network size.
-    """
+    """Per-agent outgoing message and float counts, per round: they depend on
+    the agent's neighborhood and block sizes only, never on the network size."""
     stats: dict[int, dict] = {}
     for m in trace:
         per_agent = stats.setdefault(m.sender, {})
@@ -189,8 +189,7 @@ def message_stats(trace: list[Message]) -> dict[int, dict]:
 def dump_trace_csv(trace: list[Message], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["round", "phase", "sender", "receiver", "kind",
-                        "payload_norm"])
+        writer.writerow(["round", "phase", "sender", "receiver", "kind", "payload_norm"])
         for m in trace:
             writer.writerow([m.round, m.phase, m.sender, m.receiver, m.kind,
                              float(np.linalg.norm(m.payload))])

@@ -27,7 +27,7 @@ import numpy as np
 
 from .agent import AgentState
 from .blocklin import BlockMat, BlockVec, block_sparsity, support
-from .exceptions import DomainViolation
+from .exceptions import DomainViolation, NumericalOverflow
 from .measurements import MeasurementStack, eval_stack, jacobian_stack
 from .netsim import Network
 from .topology import build_tables
@@ -282,7 +282,10 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
                 edge=exc.edge,
             ) from exc
 
-        xbar, rows, converged, stop = inner_admm(network, inner_params)
+        try:
+            xbar, rows, converged, stop = inner_admm(network, inner_params)
+        except NumericalOverflow as exc:
+            raise NumericalOverflow(f"at outer iteration {outer_it}: {exc}") from exc
         trace.inner.append(rows)
 
         x_star = BlockVec(x_star.structure, x_star.data + xbar.data)

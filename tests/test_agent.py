@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from fdirnet.agent import AgentState
+from fdirnet.agent import FIELDS, RUNS, AgentState, layout
 from fdirnet.blocklin import BlockVec
 from fdirnet.measurements import eval_stack
 from fdirnet.prox import zero_test
@@ -344,3 +346,39 @@ def test_agent_holds_no_more_arrays_or_tuples_than_before(rng):
     tuples = sum(isinstance(v, tuple) for v in held)
     assert arrays + tuples <= 15
     assert not hasattr(s, "__dict__")
+
+
+def test_every_view_sits_where_the_layout_table_puts_it(rng):
+    sizes = [(0, 0, 2), (0, 3, 1), (4, 0, 3), (1, 1, 1)]
+    sizes += [(int(m), int(k), int(d)) for m, k, d in rng.integers((0, 0, 1), (9, 6, 4), (12, 3))]
+    for m, k, d in sizes:
+        s = AgentState(i=0, rho=1.0, x_star=rng.normal(size=d),
+                       neighbors=tuple(range(1, k + 1)), incident=(0,) if m else (),
+                       rows=(0, m) if m else (0,), J=rng.normal(size=(m, (1 + k) * d)),
+                       r=rng.normal(size=m))
+        at, size = layout(m, k, d)
+        buf = s.x_star.base
+        assert buf.shape == (size,)
+        # the fields tile [0, size) in table order
+        end = 0
+        for name in FIELDS:
+            lo, hi, shape = at[name]
+            assert lo == end and hi - lo == math.prod(shape)
+            end = hi
+        assert end == size
+        # each run spans exactly its consecutive parts, first to last
+        names = list(FIELDS)
+        for run, (first, last) in RUNS.items():
+            parts = names[names.index(first):names.index(last) + 1]
+            assert parts and at[run][1] - at[run][0] == sum(at[p][1] - at[p][0] for p in parts)
+            union = set().union(*(range(at[p][0], at[p][1]) for p in parts))
+            assert set(range(at[run][0], at[run][1])) == union
+        # every view the agent has starts at its name's start, with its size
+        # and shape; c and d are read from viol only
+        views = {name: getattr(s, name) for name in at if hasattr(s, name)}
+        assert set(at) - set(views) == {"c", "d"}
+        for name, v in views.items():
+            lo, hi, shape = at[name]
+            assert v.base is buf and v.size == hi - lo and v.shape == shape
+            if v.size:  # an empty view has no address in the segment
+                assert (v.ctypes.data - buf.ctypes.data) // v.itemsize == lo

@@ -1,5 +1,9 @@
+import contextlib
 import copy
 import csv
+import io
+import math
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -477,3 +481,39 @@ def test_cli_report_shows_capped_prox_solves(tmp_path, monkeypatch):
     loops = [line for line in (out / "report.txt").read_text().splitlines()
              if line.startswith("  outer iteration ")]
     assert loops and all(line.endswith(" capped)") for line in loops)
+
+
+def test_cli_run_huge_rho_exits_with_error(tmp_path, capsys):
+    # at rho = 1e160 the first prox solve overflows
+    code = main(["run", "--scenario", str(SCENARIOS / "mixed_chain_fault.yaml"),
+                 "--out", str(tmp_path / "out"), "--rho", "1e160"])
+    assert code == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: at outer iteration 0: agent ") and "rho = 1e+160" in err
+    assert not (tmp_path / "out").exists()
+
+
+# valid values as often as not, so that most draws reach a solve
+FUZZ_NUMBERS = st.one_of(st.floats(1e-300, 1e308), st.floats(),
+                         st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e308]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(scenario=st.sampled_from(["triangle_diagnostics", "mixed_chain_fault"]),
+       command=st.sampled_from(["run", "sweep", "diagnose"]), rho=FUZZ_NUMBERS,
+       seed=st.one_of(st.integers(0, 2 ** 32), st.integers()),
+       max_outer=st.one_of(st.integers(1, 3), st.integers(max_value=3)),
+       values=st.lists(FUZZ_NUMBERS, max_size=3))
+@example(scenario="mixed_chain_fault", command="run", rho=1e160, seed=0, max_outer=3, values=[])
+def test_cli_fuzz_ends_in_an_exit_code(scenario, command, rho, seed, max_outer, values):
+    # "--flag=value", as argparse takes "-inf" or "-1e+160" after a space for a flag
+    argv = [command, "--scenario", str(SCENARIOS / f"{scenario}.yaml"), "--quiet",
+            f"--rho={rho!r}", f"--seed={seed}", f"--max-outer={max_outer}"]
+    if command == "sweep":
+        argv.append("--values=" + ",".join(map(repr, values)))
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", out])
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_DEGRADED)
+    if code == EXIT_ERROR:
+        assert err.getvalue().startswith("error: ")

@@ -10,7 +10,7 @@ import yaml
 
 from fdirnet.agent import AgentState
 from fdirnet.blocklin import BlockVec
-from fdirnet.exceptions import DomainViolation
+from fdirnet.exceptions import DomainViolation, NumericalOverflow
 from fdirnet.measurements import MeasurementKind, MeasurementStack, eval_stack, jacobian_stack
 from fdirnet.netsim import PHASE_XBAR
 from fdirnet.prox import solve_exact
@@ -323,6 +323,16 @@ def test_outer_stop_reasons():
     assert (res.outer_stop, res.outer_iters, res.degraded) == ("residual", 1, False)
     res = solve_scenario(load_scenario(SCENARIOS / "mixed_chain_fault.yaml"), max_scp_iters=1)
     assert (res.outer_stop, res.outer_iters, res.degraded) == ("budget", 1, True)
+
+
+def test_huge_rho_raises_numerical_overflow_naming_the_agent():
+    # sqrt(rho) scales the prox problem: at rho = 1e160, ||A^T b||^2 overflows
+    # in the first prox solve (rho = 1e150 still finishes)
+    scn = load_scenario(SCENARIOS / "mixed_chain_fault.yaml")
+    inner = dataclasses.replace(scn.inner_params, rho=1e160)
+    match = r"^at outer iteration 0: agent \d+: .*rho = 1e\+160"
+    with pytest.raises(NumericalOverflow, match=match):
+        outer_scp(scn.stack, scn.reported_states, scn.measurements(), inner, scn.outer_params)
 
 
 def noisy_circle(sigma: float, seed: int):
