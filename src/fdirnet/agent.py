@@ -16,12 +16,16 @@ concatenation) and ``viol`` = [c | d]. The agent holds views of all but
 lam_rows and mu (read from ``duals``) and c and d (from ``viol``). A
 ``Network`` carves every agent's segment from one arena by ``layout``; a
 standalone agent allocates its own. All code writes the views in place
-(``s.x_bar[:] = v``, never ``s.x_bar = v``).
+(``s.x_bar[:] = v``, never ``s.x_bar = v``). An agent reads its neighbors,
+incident edges and row offsets on demand from ``Tables`` that a network's
+agents share.
 
-``relinearize`` copies x*, J and r into the segment, checking their
-shapes, once per linearization. Two operators are formed once for it: the
-w-update's H^-1 = (I + J_n^T J_n)^-1, and, on the first x-update that
-misses the fast path, the prox matrix A with the eigendecomposition of
+Each linearization writes x*, J and r into the segment: a network writes
+every agent's at once, and a standalone agent's ``relinearize`` copies them
+in, checking their shapes. Two operators are formed once for it: the
+w-update's H^-1 = (I + J_n^T J_n)^-1 (a network inverts the ``gram`` of all
+its agents with one neighbor count at once), and, on the first x-update
+that misses the fast path, the prox matrix A with the eigendecomposition of
 A^T A (later ones only build and check the new right-hand side).
 
 Each round quantity is computed once: the dual update evaluates c and d
@@ -44,16 +48,15 @@ a ProxProblem in v = x*[i] + xhat_i with A_i stacking sqrt(rho) times the
 own-block columns of J and sqrt(rho) I per neighbor. Its closed-form zero
 test is the fast path: xbar[i] = -x*[i] whenever the agent's residual
 norm is at most 1/rho. Otherwise ``prox.solve_exact`` solves it exactly;
-``prox_capped`` counts, per linearization, the solves stopped at their
-step cap; a problem whose solve would overflow (a huge rho) raises
-``NumericalOverflow`` instead.
+a solve stopped at its step cap appends the agent's id to ``capped``; a
+problem whose solve would overflow (a huge rho) raises ``NumericalOverflow``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -103,76 +106,134 @@ def _held(m, k, d):
     return tuple((name, *at[name]) for name in at if name in AgentState.__slots__), size
 
 
-@dataclass(slots=True, eq=False)
-class AgentState:
-    i: int
-    rho: float
-    x_star: np.ndarray  # accumulated error estimate block x*[i]
-    neighbors: tuple[int, ...]  # ascending; slot s belongs to neighbors[s]
-    incident: tuple[int, ...]  # ascending incident edge indices
-    rows: tuple[int, ...]  # row offsets of each incident edge, len(incident) + 1
-    J: np.ndarray  # local Jacobian, see the module docstring
-    r: np.ndarray  # linearized residual per row
-    buf: InitVar[np.ndarray | None] = None  # a zeroed segment to live in, or a new one
-    H_inv: np.ndarray = field(init=False)  # (I + J_n^T J_n)^-1, J_n the neighbor columns
-    # the x-update's last prox problem (A depends on J and rho only), if any
-    prox: ProxProblem | None = field(init=False, default=None)
-    prox_capped: int = field(init=False, default=0)  # this linearization's capped solves
+def pack(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """(flat, ptr): the sequences end to end, the q-th at flat[ptr[q]:ptr[q + 1]]."""
+    seqs = list(seqs)
+    ptr = np.append(0, np.cumsum(np.fromiter(map(len, seqs), np.intp, len(seqs))))
+    return np.fromiter(chain.from_iterable(seqs), np.intp, ptr[-1]), ptr
 
-    duals: np.ndarray = field(init=False)  # [lam_rows | mu], scaled duals
+
+class Tables:
+    """Each agent's neighbors and incident edges, both ascending, packed for
+    agents first, first + 1, ...: agent first + q has the neighbors
+    nbrs[nbr_ptr[q]:nbr_ptr[q + 1]] and the incident edges edges[ptr[q]:ptr[q + 1]].
+    With every agent's rows laid end to end, entry e's edge has the rows from
+    starts[e] on and agent first + q the rows row_ptr[q]:row_ptr[q + 1]."""
+
+    __slots__ = ("first", "nbrs", "nbr_ptr", "edges", "ptr", "starts", "row_ptr")
+
+    def __init__(self, nbrs, nbr_ptr, edges, ptr, rows, first=0):
+        """``pack``ed neighbors and incident edges; rows[e]: entry e's row count."""
+        self.first, self.nbrs, self.nbr_ptr, self.edges, self.ptr = first, nbrs, nbr_ptr, edges, ptr
+        ends = np.cumsum(rows, dtype=np.intp)
+        self.starts = ends - rows
+        self.row_ptr = np.append(0, ends)[ptr]
+
+    def of(self, a) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Agent a's neighbors, incident edges and their row offsets, as tuples."""
+        q = a - self.first
+        lo, hi = self.ptr[q:q + 2]
+        rows = np.append(self.starts[lo:hi], self.row_ptr[q + 1]) - self.row_ptr[q]
+        return (tuple(self.nbrs[self.nbr_ptr[q]:self.nbr_ptr[q + 1]].tolist()),
+                tuple(self.edges[lo:hi].tolist()), tuple(rows.tolist()))
+
+    def slot(self, i, j) -> np.ndarray:
+        """The slot of agent i that belongs to its neighbor j, elementwise."""
+        n = len(self.nbr_ptr) - 1
+        key = np.repeat(np.arange(n), np.diff(self.nbr_ptr)) * n + self.nbrs
+        return np.searchsorted(key, i * n + j) - self.nbr_ptr[i]
+
+
+class AgentState:
+    """Agent i's state, views of its segment (see the module docstring).
+
+    ``AgentState(...)`` is a standalone agent, whose linearization (J, r, x*)
+    is checked and copied in; a ``Network`` builds its agents with
+    ``on_segment`` and writes their linearizations itself. ``capped`` gets
+    the agent's id for each prox solve stopped at its step cap (a network's
+    agents share one, cleared per linearization); ``prox`` is the
+    x-update's last prox problem (A depends on J and rho only), if any;
+    ``kept`` says that viol holds c and d at xhat = -x*.
+    """
+
+    __slots__ = ("i", "rho", "tables", "capped", "x_star", "H_inv", "duals", "xw", "x_bar", "w",
+                 "viol", "nbr_xbar", "nbr_mu", "nbr_copy_of_me", "J", "r", "prox", "fast_path",
+                 "kept")
+    # the views: x_star, the accumulated error estimate block x*[i]; H_inv =
+    # (I + J_n^T J_n)^-1, J_n the neighbor columns of J; duals = [lam_rows |
+    # mu], the scaled duals; xw = [x_bar | w], w my copy of each neighbor's
+    # block; viol = [c | d]; received this round, one row per slot: nbr_xbar,
+    # nbr_mu (mu_j^(i) from each j) and nbr_copy_of_me (w_j^(i) from each j);
+    # J and r, the linearization (see the module docstring)
+    # ascending, slot s belongs to neighbors[s]; ascending; each edge's row offsets
+    neighbors = property(lambda self: self.tables.of(self.i)[0])
+    incident = property(lambda self: self.tables.of(self.i)[1])
+    rows = property(lambda self: self.tables.of(self.i)[2])
     # scaled edge dual per row and consensus dual per slot, views of duals
     lam_rows = property(lambda self: self.duals[:len(self.r)])
     mu = property(lambda self: self.duals[len(self.r):].reshape(self.w.shape))
-    xw: np.ndarray = field(init=False)  # [x_bar | w]
-    x_bar: np.ndarray = field(init=False)
-    w: np.ndarray = field(init=False)  # my copy of each neighbor's block
-    viol: np.ndarray = field(init=False)  # [c | d], see the module docstring
 
-    # received this round, one row per slot
-    nbr_xbar: np.ndarray = field(init=False)
-    nbr_mu: np.ndarray = field(init=False)  # mu_j^(i) from each j
-    nbr_copy_of_me: np.ndarray = field(init=False)  # w_j^(i) from each j
+    def __init__(self, i, rho, x_star, neighbors, incident, rows, J, r, buf=None):
+        """``rows`` are the row offsets of each incident edge (len(incident) + 1);
+        ``buf`` is a zeroed segment to live in, or None for a new one."""
+        if len(rows) != len(incident) + 1:
+            raise ValueError(f"{len(rows)} row offsets for {len(incident)} edges")
+        tables = Tables(*pack([neighbors]), *pack([incident]), np.diff(rows), first=i)
+        self._carve(i, rho, tables, [], (rows[-1], len(neighbors), len(x_star)), buf)
+        self._take_linearization(J, r, x_star)
 
-    fast_path: bool = field(init=False, default=False)
-    kept: bool = field(init=False, default=False)  # viol holds c, d at xhat = -x*
+    @classmethod
+    def on_segment(cls, i, rho, tables, capped, mkd, buf):
+        """Agent i of a network, with (m rows, k neighbors, blocks of d) = mkd,
+        on its zeroed segment buf."""
+        return cls.__new__(cls)._carve(i, rho, tables, capped, mkd, buf)
 
-    def __post_init__(self, buf):
-        if self.rho <= 0:
+    def _carve(self, i, rho, tables, capped, mkd, buf) -> AgentState:
+        if rho <= 0:
             raise ValueError("rho must be positive")
+        self.i, self.rho, self.tables, self.capped = i, rho, tables, capped
+        self.prox, self.fast_path, self.kept = None, False, False
         # at round 0 everything is zero, the copies too (xhat starts at 0)
-        held, size = _held(self.rows[-1], len(self.neighbors), len(self.x_star))
+        held, size = _held(*mkd)
         buf = np.zeros(size) if buf is None else buf
         if buf.shape != (size,):
             raise ValueError(f"a segment of {buf.shape} floats, not ({size},)")
-        taken = self.J, self.r, self.x_star
         for name, lo, hi, shape in held:  # lam_rows, mu, c and d are read from runs
             v = buf[lo:hi]
             setattr(self, name, v.reshape(shape) if len(shape) > 1 else v)
-        self._take_linearization(*taken)
+        return self
+
+    def gram(self) -> np.ndarray:
+        """H = I + J_n^T J_n, J_n the neighbor columns of J: H^-1 is the w-update's."""
+        Jn = self.J[:, self.n_i:]
+        H = Jn.T @ Jn
+        H.flat[::H.shape[0] + 1] += 1.0
+        return H
 
     def _take_linearization(self, J, r, x_star) -> None:
-        """Copy J, r and x* into the segment, checking their shapes, form
-        H^-1 in place and drop the prox problem of the previous linearization."""
+        """Copy J, r and x* into the segment, checking their shapes, and form
+        H^-1 in place."""
         shapes = np.shape(J), np.shape(r), np.shape(x_star)
         if shapes != (self.J.shape, self.r.shape, self.x_star.shape):
             raise ValueError(f"J {shapes[0]}, r {shapes[1]} and x* {shapes[2]} do not fit "
                              f"{self.J.shape}, {self.r.shape} and {self.x_star.shape}")
         self.J[:], self.r[:], self.x_star[:] = J, r, x_star
-        Jn = self.J[:, self.n_i:]
-        H = Jn.T @ Jn
-        H.flat[::H.shape[0] + 1] += 1.0  # H = I + J_n^T J_n
-        self.H_inv[:] = np.linalg.inv(H)
-        self.prox = None
+        self.H_inv[:] = np.linalg.inv(self.gram())
 
-    def relinearize(self, J, r, x_star) -> None:
-        """Take the linearization at a new point, keeping duals and copies
-        warm: x* has absorbed xbar, which resets xhat to zero, so every copy
-        is shifted by the absorbed amount to stay consistent."""
+    def shift(self) -> None:
+        """Keep duals and copies warm for a new linearization: x* has absorbed
+        xbar, which resets xhat to zero, so every copy is shifted by the
+        absorbed amount to stay consistent. The prox problem of the previous
+        linearization is dropped."""
         self.w -= self.nbr_xbar
         self.nbr_copy_of_me -= self.x_bar
         self.x_bar[:] = 0.0
         self.kept = self.fast_path = False  # xbar is no longer -x*
-        self.prox_capped = 0
+        self.prox = None
+
+    def relinearize(self, J, r, x_star) -> None:
+        """Take the linearization (J, r, x*) at a new point (see ``shift``)."""
+        self.shift()
         self._take_linearization(J, r, x_star)
 
     @property
@@ -182,8 +243,9 @@ class AgentState:
     # ----- per-edge views, built on demand (not used by the updates) ------
 
     def _edge_rows(self, l: int) -> slice:
-        e = self.incident.index(l)
-        return slice(self.rows[e], self.rows[e + 1])
+        _, incident, rows = self.tables.of(self.i)
+        e = incident.index(l)
+        return slice(rows[e], rows[e + 1])
 
     @property
     def edges(self) -> dict[int, EdgeView]:
@@ -214,7 +276,7 @@ class AgentState:
         return self._at(xhat_i)[self._edge_rows(l)]
 
     def constraint_d(self, j: int, xhat_i) -> np.ndarray:
-        return self._at(xhat_i)[self.rows[-1]:].reshape(self.w.shape)[self.neighbors.index(j)]
+        return self._at(xhat_i)[len(self.r):].reshape(self.w.shape)[self.neighbors.index(j)]
 
     # ----- x-update ---------------------------------------------------
 
@@ -230,7 +292,7 @@ class AgentState:
         b = -sq * ef
         if self.prox is None:
             # an isolated agent gets a 0-row A: only the norm term remains
-            eyes = np.tile(np.eye(self.n_i), (len(self.neighbors), 1))
+            eyes = np.tile(np.eye(self.n_i), (len(self.w), 1))
             self.prox = ProxProblem(sq * np.vstack([self.J[:, :self.n_i], eyes]), b)
         else:
             self.prox = self.prox.with_rhs(b)
@@ -265,7 +327,7 @@ class AgentState:
             sol = solve_prox(self._problem(ef), tol=tol)
             np.subtract(sol.v_star, self.x_star, out=self.x_bar)
             if sol.stationarity_residual > tol:  # stopped at its step cap
-                self.prox_capped += 1
+                self.capped.append(self.i)
         return self.x_bar
 
     # ----- w-update ---------------------------------------------------
@@ -280,8 +342,6 @@ class AgentState:
         eigenvalues are all at least 1: w is one product with H^-1.
         """
         self.kept = False
-        if not self.neighbors:
-            return self.w
         d = len(self.x_star)
         const = self.J[:, :d] @ self.x_bar - self.r + self.duals[:len(self.r)]
         rhs = (self.nbr_xbar + self.nbr_mu).ravel() - self.J[:, d:].T @ const

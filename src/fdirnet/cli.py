@@ -4,7 +4,8 @@
     fdirnet diagnose --scenario s.yaml
     fdirnet sweep    --scenario s.yaml --out results/ --values 0.5,1,2
 
-Exit codes: 0 success, 1 error, 2 degraded convergence.
+Exit codes: 0 success, 1 error (a malformed command line too), 2 degraded
+convergence.
 """
 
 from __future__ import annotations
@@ -156,8 +157,13 @@ def cmd_sweep(scn: Scenario, out_dir: Path, values: list[float],
     return EXIT_DEGRADED if degraded_any else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would exit with status 2, EXIT_DEGRADED
+        raise argparse.ArgumentError(None, message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fdirnet",
         description="Distributed fault identification and error "
                     "reconstruction over a sensor network.",
@@ -181,8 +187,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         scn = _apply_overrides(load_scenario(args.scenario), args)
         if args.command == "run":
             return cmd_run(scn, Path(args.out), args.quiet)
@@ -195,7 +201,7 @@ def main(argv=None) -> int:
         if not values:
             raise ScenarioError("--values: needs at least one number")
         return cmd_sweep(scn, Path(args.out), values, args.quiet)
-    except (ScenarioError, FdirError, OSError) as exc:
+    except (argparse.ArgumentError, ScenarioError, FdirError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

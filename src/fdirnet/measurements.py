@@ -219,11 +219,15 @@ def eval_stack(stack: MeasurementStack, p: BlockVec) -> BlockVec:
 
 
 def jacobian_stack(stack: MeasurementStack, p: BlockVec) -> BlockMat:
-    """Block Jacobian R; block (l,i) is present iff agent i is in edge l."""
+    """Block Jacobian R; block (l,i) is present iff agent i is in edge l.
+    ``R.by_kind`` holds, per kind in the stack's order, the (E, arity, m, d)
+    array of blocks that R's blocks of that kind are views of."""
     R = BlockMat(stack.row_structure, stack.col_structure)
     R.blocks = dict.fromkeys(stack._block_keys)
-    for (*_, keys), _, J in _eval_kinds(stack, p, jac=True):
+    kinds = _eval_kinds(stack, p, jac=True)
+    for (*_, keys), _, J in kinds:
         R.blocks.update(zip(keys, J.reshape(-1, *J.shape[2:])))
+    R.by_kind = tuple(J for *_, J in kinds)
     return R
 
 

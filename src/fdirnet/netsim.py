@@ -8,7 +8,10 @@ Each inner iteration has three phases with a global barrier between them:
      each neighbor j its fresh copy w_i^(j);
   3. every agent runs its dual updates locally.
 
-Every agent lives in its own segment of the network's one arena of floats.
+Every agent lives in its own segment of the network's one arena of floats;
+the network builds its agents there from packed ``Tables`` (neighbors,
+incident edges, rows) that they all share, and each linearization is
+written into the arena from outside, at the field starts ``start``.
 Sends are the only cross-agent channel: index maps into the arena, built
 once from the neighbor tables and, by field name, the agent ``layout``.
 ``route`` maps each slot row ("i's slot for j", in id order) to the row
@@ -25,13 +28,12 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .agent import AgentState, layout
+from .agent import AgentState, Tables, layout
 from .exceptions import ProtocolViolation
 
 PHASE_XBAR = 1
@@ -61,7 +63,7 @@ class Message:
     payload: np.ndarray  # read-only
 
 
-def _ranges(starts: np.ndarray, lengths) -> np.ndarray:
+def index_ranges(starts: np.ndarray, lengths) -> np.ndarray:
     """The ranges [s, s + l) for each start s and length l, concatenated."""
     lengths = np.broadcast_to(lengths, starts.shape)
     ends = np.cumsum(lengths)
@@ -71,33 +73,32 @@ def _ranges(starts: np.ndarray, lengths) -> np.ndarray:
 class Network:
     """A set of agents plus the sole communication channel between them."""
 
-    def __init__(self, neighbors: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]],
-                 d: int, make_agent: Callable[[int, np.ndarray], AgentState],
-                 record_trace: bool = False):
-        """Agent i has the neighbors ``neighbors[i]``, its incident edges' row
-        offsets ``rows[i]`` and blocks of d, and ``make_agent(i, segment)``
-        builds it, with those tables, on its segment."""
-        n = len(neighbors)
-        k = np.fromiter(map(len, neighbors), np.intp, n)
-        m = np.fromiter((r[-1] for r in rows), np.intp, n)
-        at, size = layout(m, k, d)
-        seg = np.cumsum(size) - size
-        start = {name: seg + lo for name, (lo, _, _) in at.items()}  # per agent, in the arena
-        self.arena = np.zeros(int(size.sum()))
-        self.d = d
-        self.record_trace = record_trace
-        self.trace: list[Message] = []
-        self.round = 0
-
+    def __init__(self, tables: Tables, d: int, rho: float, record_trace: bool = False):
+        """An agent per entry of ``tables``, with blocks of d and the ADMM
+        penalty rho; ``fill`` is left to whoever writes the linearizations."""
+        n = len(tables.nbr_ptr) - 1
+        k, m = np.diff(tables.nbr_ptr), np.diff(tables.row_ptr)
         i = np.repeat(np.arange(n), k)  # slot row q: agent i's slot for neighbor j
-        j = np.fromiter(chain.from_iterable(neighbors), np.intp, len(i))
+        j = tables.nbrs
         key = i * n + j
         self.route = np.searchsorted(key, j * n + i).clip(max=len(key) - 1)
         if not (np.all((j >= 0) & (j < n) & (j != i)) and np.all(key[1:] > key[:-1])
                 and np.array_equal(key[self.route], j * n + i)):
             raise ProtocolViolation("neighbor tables must be ascending, of other agents "
                                     "and symmetric")
-        row = d * _ranges(0 * k, k)  # slot row q's offset in a (k, d) field of agent i
+        at, size = layout(m, k, d)
+        seg = np.cumsum(size) - size
+        # where each field and run of every agent starts in the arena
+        self.start = start = {name: seg + lo for name, (lo, _, _) in at.items()}
+        self.arena = np.zeros(int(size.sum()))
+        self.d = d
+        self.tables = tables
+        self.capped: list[int] = []  # see AgentState
+        self.fill = None  # how each linearization is written (solver.build_network)
+        self.record_trace = record_trace
+        self.trace: list[Message] = []
+        self.round = 0
+        row = d * index_ranges(0 * k, k)  # slot row q's offset in a (k, d) field of agent i
 
         def slot_rows(name):
             return start[name][i] + row
@@ -109,20 +110,22 @@ class Network:
             src = [start[f][j] if len(at[f][2]) == 1 else slot_rows(f)[self.route]
                    for f in map(SENT_FIELDS.get, kinds)]
             dst = [slot_rows(SLOT_ARRAYS[kind]) for kind in kinds]
-            self.delivery[phase] = _ranges(np.concatenate(dst), d), _ranges(np.concatenate(src), d)
+            self.delivery[phase] = (index_ranges(np.concatenate(dst), d),
+                                    index_ranges(np.concatenate(src), d))
 
-        self.ordered = [make_agent(a, self.arena[lo:lo + size_a])
-                        for a, (lo, size_a) in enumerate(zip(seg.tolist(), size.tolist()))]
+        self.ordered = [AgentState.on_segment(a, rho, tables, self.capped, mkd,
+                                              self.arena[lo:lo + size_a])
+                        for a, (*mkd, lo, size_a) in enumerate(zip(
+                            m.tolist(), k.tolist(), [d] * n, seg.tolist(), size.tolist()))]
         self.agents = {a.i: a for a in self.ordered}
 
-        # every c, then every d, and where each edge's rows start among the c:
-        # each agent's row offsets but its last, after the agents before it
-        self.xbar_map = _ranges(start["x_bar"], d)
+        # every c, then every d; the tables say where each edge's rows start
+        # among the c
+        self.xbar_map = index_ranges(start["x_bar"], d)
         self.c_entries = int(m.sum())
-        self.viol_map = np.concatenate([_ranges(start["c"], m), _ranges(slot_rows("d"), d)])
-        lens = np.fromiter(map(len, rows), np.intp, n)
-        offsets = np.fromiter(chain.from_iterable(rows), np.intp, lens.sum())
-        self.c_starts = np.delete(offsets + np.repeat(np.cumsum(m) - m, lens), np.cumsum(lens) - 1)
+        self.viol_map = np.concatenate([index_ranges(start["c"], m),
+                                        index_ranges(slot_rows("d"), d)])
+        self.c_starts = tables.starts
 
     def x_bars(self) -> np.ndarray:
         """Every agent's xbar, one row per agent."""

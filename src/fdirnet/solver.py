@@ -21,15 +21,14 @@ from __future__ import annotations
 import csv
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
-from .agent import AgentState
-from .blocklin import BlockMat, BlockVec, block_sparsity, support
+from .agent import AgentState, Tables, pack
+from .blocklin import BlockStructure, BlockVec, block_sparsity, support
 from .exceptions import DomainViolation, NumericalOverflow
 from .measurements import MeasurementStack, eval_stack, jacobian_stack
-from .netsim import Network
+from .netsim import Network, index_ranges
 from .topology import build_tables
 
 
@@ -114,27 +113,56 @@ class RunTrace:
                                  row.l21_objective, meas, row.fastpath_count, stop])
 
 
-def _local_linearization(stack: MeasurementStack, R: BlockMat, resid: np.ndarray,
-                         i: int, neighbors: tuple[int, ...],
-                         incident: tuple[int, ...], rows):
-    """Agent i's packed rows of the linearization (J, r), in the layout of the
-    agent module (edges ascending, columns [self | neighbors]); ``rows`` are
-    its incident edges' row offsets."""
-    d = stack.d
-    col = {j: d * s for s, j in enumerate(neighbors, 1)}
-    col[i] = 0
-    offsets = R.row_structure.offsets
-    edges, blocks = stack.graph.edges, R.blocks
-    gather = []  # rows of resid, in the agent's order
-    for l in incident:
-        gather.extend(range(offsets[l], offsets[l + 1]))
-    J = np.zeros((rows[-1], d * (len(neighbors) + 1)))
-    for e, l in enumerate(incident):
-        agent_rows = slice(rows[e], rows[e + 1])
-        for j in edges[l]:
-            c = col[j]
-            J[agent_rows, c:c + d] = blocks[l, j]
-    return J, resid[gather]
+def _fill_map(stack: MeasurementStack, network: Network) -> tuple:
+    """Where each linearization lands in the arena: the entries of J that
+    every kind's Jacobian blocks go to, once per member that receives them;
+    (arena entries, entries of y - Phi(p)) of r; x*'s entries; and, per
+    neighbor count, the agents and where their H^-1 start."""
+    t, start, d, L = network.tables, network.start, stack.d, stack.graph.num_edges  # t: Tables
+    k = np.diff(t.nbr_ptr)
+    cols = (1 + k) * d  # of each agent's J
+    agent = np.repeat(np.arange(len(k)), np.diff(t.ptr))  # of each incident edge entry
+    first_row = t.starts - t.row_ptr[agent]  # of each entry's rows, in its agent's J
+    J_dst = [np.zeros(0, np.intp)]
+    for kind, ls, members, _, _ in stack._groups:
+        # the kind's (E, arity, m, d) blocks go, for each member b, to the J
+        # of q = members[e, b]: its rows of edge ls[e] and, for block p, the
+        # column block of member j = members[e, p]
+        m = kind.output_dim(d)
+        q, j = members.T[:, :, None], members[None]
+        entry = np.searchsorted(agent * L + t.edges, members.T * L + ls)[:, :, None]
+        col = np.where(q == j, 0, 1 + t.slot(q, j)) * d
+        at = start["J"][q] + first_row[entry] * cols[q] + col
+        J_dst.append((at[..., None, None] + cols[q][..., None, None] * np.arange(m)[:, None]
+                      + np.arange(d)).ravel())
+    rows = np.diff(np.append(t.starts, t.row_ptr[-1]))  # of each entry's edge
+    groups = []
+    for size in np.unique(k[k > 0]):
+        of_k = np.flatnonzero(k == size)
+        groups.append(([network.ordered[a] for a in of_k], start["H_inv"][of_k]))
+    return (np.concatenate(J_dst),
+            (index_ranges(start["r"][agent] + first_row, rows),
+             index_ranges(np.take(stack.row_structure.offsets, t.edges), rows)),
+            index_ranges(start["x_star"], d), groups)
+
+
+def _write_linearization(network: Network, blocks: tuple, resid: np.ndarray,
+                         x_star: BlockVec) -> None:
+    """Write every agent's J (from ``blocks``, the Jacobian's ``by_kind``), r
+    and x* into the arena, one assignment each, and its H^-1 with one
+    inversion per neighbor count."""
+    J_dst, (r_dst, r_src), x_dst, groups = network.fill
+    arena = network.arena
+    arena[J_dst] = np.concatenate([np.zeros(0), *(np.tile(J.ravel(), J.shape[1])
+                                                   for J in blocks)])
+    arena[r_dst] = resid[r_src]
+    arena[x_dst] = x_star.data
+    for agents, starts in groups:
+        H = np.empty((len(agents), *agents[0].H_inv.shape))
+        for s, a in enumerate(agents):
+            H[s] = a.gram()
+        H_inv = np.linalg.inv(H).reshape(len(agents), -1)
+        arena[starts[:, None] + np.arange(H_inv.shape[1])] = H_inv
 
 
 def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
@@ -142,29 +170,26 @@ def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
                   record_trace: bool = False) -> Network:
     """Agents with the linearization (J, r) taken at p_point."""
     tables = build_tables(stack.graph)
-    R = jacobian_stack(stack, p_point)
+    blocks = jacobian_stack(stack, p_point).by_kind  # R's dict of block views goes at once
     resid = y.data - eval_stack(stack, p_point).data
-    nbrs = [tuple(sorted(s)) for s in tables.neighbors]
-    lengths = stack.row_structure.lengths
-    rows = [tuple(accumulate((lengths[l] for l in ls), initial=0)) for ls in tables.incident]
-
-    def make_agent(i: int, segment: np.ndarray) -> AgentState:
-        # one agent's J at a time, copied into its segment and then dropped
-        J, r = _local_linearization(stack, R, resid, i, nbrs[i], tables.incident[i], rows[i])
-        return AgentState(i=i, rho=rho, x_star=x_star.block(i), neighbors=nbrs[i],
-                          incident=tables.incident[i], rows=rows[i], J=J, r=r, buf=segment)
-
-    return Network(nbrs, rows, stack.d, make_agent, record_trace=record_trace)
+    edges, ptr = pack(tables.incident)
+    network = Network(Tables(*pack(map(sorted, tables.neighbors)), edges, ptr,
+                             np.array(stack.row_structure.lengths, np.intp)[edges]),
+                      stack.d, rho, record_trace=record_trace)
+    network.fill = _fill_map(stack, network)
+    _write_linearization(network, blocks, resid, x_star)
+    return network
 
 
 def relinearize(network: Network, stack: MeasurementStack, p_point: BlockVec,
                 resid: np.ndarray, x_star: BlockVec) -> None:
     """Hand every agent the linearization at p_point and the absorbed x*;
     resid is y - Phi(p_point), which the outer loop has already evaluated."""
-    R = jacobian_stack(stack, p_point)
+    blocks = jacobian_stack(stack, p_point).by_kind
     for a in network.ordered:
-        J, r = _local_linearization(stack, R, resid, a.i, a.neighbors, a.incident, a.rows)
-        a.relinearize(J, r, x_star.block(a.i))
+        a.shift()
+    network.capped.clear()
+    _write_linearization(network, blocks, resid, x_star)
 
 
 PLATEAU_LAG = 10  # rounds between the two violation levels compared
@@ -220,7 +245,8 @@ def inner_admm(network: Network, params: InnerParams):
             stop = "stalled"
             break
 
-    return (BlockVec.from_blocks(xbar), np.rec.fromrecords(rows, dtype=INNER_ROW),
+    return (BlockVec(BlockStructure((network.d,) * len(xbar)), xbar.ravel()),
+            np.rec.fromrecords(rows, dtype=INNER_ROW),
             stop == "converged", stop)
 
 
@@ -298,7 +324,7 @@ def outer_scp(stack: MeasurementStack, p_hat: BlockVec, y: BlockVec,
             inner_iters=len(rows),
             inner_converged=converged,
             inner_stop=stop,
-            prox_capped=sum(a.prox_capped for a in network.ordered),
+            prox_capped=len(network.capped),
         ))
 
         # inner stalls along the way are expected while the linearization

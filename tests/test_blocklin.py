@@ -31,6 +31,19 @@ def test_offsets_are_plain_ints():
     assert type(s.total) is int
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_uniform_block_norms_bit_equal_the_per_block_norm(rng, d):
+    # the stacked x^T x of uniform blocks must give np.linalg.norm's value
+    # of every block to the last bit (norm(axis=1) and einsum do not)
+    scale = rng.choice([1e-150, 1e-3, 1.0, 1e3, 1e150], size=(5000, 1))
+    v = BlockVec(BlockStructure((d,) * 5000), (rng.normal(size=(5000, d)) * scale).ravel())
+    expected = np.array([np.linalg.norm(v.block(i)) for i in range(5000)])
+    assert v.block_norms().tobytes() == expected.tobytes()
+    mixed = BlockVec.from_blocks([[3.0, 4.0], [1.0], [2.0, 3.0, 6.0]])
+    assert mixed.block_norms().tolist() == [5.0, 1.0, 7.0]
+    assert BlockVec(BlockStructure(())).block_norms().shape == (0,)
+
+
 def test_blocks_concatenate_back():
     parts = [V.block(i) for i in range(3)]
     assert np.array_equal(np.concatenate(parts), V.data)

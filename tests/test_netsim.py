@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fdirnet.agent import AgentState, Tables, pack
 from fdirnet.blocklin import BlockVec
 from fdirnet.exceptions import ProtocolViolation
 from fdirnet.measurements import MeasurementKind as K, MeasurementStack, eval_stack
@@ -208,14 +209,16 @@ def lone_agent_network(rng):
     ((2, 1), (0,), (0,)),  # not ascending
     ((1,), (0, 2)),  # no agent 2
 ], ids=["one-way", "one-way-later", "self", "descending", "out-of-range"])
-def test_malformed_neighbor_tables_rejected_at_construction(neighbors):
+def test_malformed_neighbor_tables_rejected_at_construction(neighbors, monkeypatch):
     # no agent may reach a non-neighbor: the tables are checked before any
     # agent is built
-    def make_agent(i, segment):
+    def on_segment(*args):
         raise AssertionError("an agent was built")
 
+    monkeypatch.setattr(AgentState, "on_segment", on_segment)
+    tables = Tables(*pack(neighbors), *pack([()] * len(neighbors)), np.zeros(0, np.intp))
     with pytest.raises(ProtocolViolation, match="symmetric"):
-        Network(neighbors, [(0,)] * len(neighbors), 2, make_agent)
+        Network(tables, 2, 1.0)
 
 
 def arena_entries(net):

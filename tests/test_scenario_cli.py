@@ -493,6 +493,19 @@ def test_cli_run_huge_rho_exits_with_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [["--rho", "-1e5"], ["--rho", "-inf"], ["--bogus"]],
+                         ids=["negative-exponent-rho", "negative-inf-rho", "unknown-flag"])
+def test_cli_usage_error_exits_with_error(tmp_path, capsys, argv):
+    # argparse reads "-1e5" passed as its own token as a flag, not as --rho's
+    # value; a usage error is an error (1), not degraded convergence (2), and
+    # main returns it instead of raising SystemExit
+    code = main(["run", "--scenario", str(SCENARIOS / "mixed_chain_fault.yaml"),
+                 "--out", str(tmp_path / "out"), *argv])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 # valid values as often as not, so that most draws reach a solve
 FUZZ_NUMBERS = st.one_of(st.floats(1e-300, 1e308), st.floats(),
                          st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf, 1e308]))
