@@ -42,6 +42,6 @@ from .solver import (
     inner_admm,
     outer_scp,
 )
-from .topology import Hypergraph, NeighborTables, build_tables, validate_connectivity
+from .topology import Hypergraph, Tables, build_tables, validate_connectivity
 
 __version__ = "0.1.0"

@@ -17,8 +17,8 @@ lam_rows and mu (read from ``duals``) and c and d (from ``viol``). A
 ``Network`` carves every agent's segment from one arena by ``layout``; a
 standalone agent allocates its own. All code writes the views in place
 (``s.x_bar[:] = v``, never ``s.x_bar = v``). An agent reads its neighbors,
-incident edges and row offsets on demand from ``Tables`` that a network's
-agents share.
+incident edges and row offsets on demand from a ``topology.Tables``, a
+network's agents from the one ``build_tables`` made for it.
 
 Each linearization writes x*, J and r into the segment: a network writes
 every agent's at once, and a standalone agent's ``relinearize`` copies them
@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -67,6 +66,7 @@ from .exceptions import NumericalOverflow
 # tracing wraps ``agent.solve_prox`` by name to time and count the prox
 # solves, so renaming this binding would detach those metrics.
 from .prox import ProxProblem, solve_exact as solve_prox
+from .topology import Tables
 
 
 class EdgeView(NamedTuple):
@@ -106,44 +106,6 @@ def _held(m, k, d):
     return tuple((name, *at[name]) for name in at if name in AgentState.__slots__), size
 
 
-def pack(seqs) -> tuple[np.ndarray, np.ndarray]:
-    """(flat, ptr): the sequences end to end, the q-th at flat[ptr[q]:ptr[q + 1]]."""
-    seqs = list(seqs)
-    ptr = np.append(0, np.cumsum(np.fromiter(map(len, seqs), np.intp, len(seqs))))
-    return np.fromiter(chain.from_iterable(seqs), np.intp, ptr[-1]), ptr
-
-
-class Tables:
-    """Each agent's neighbors and incident edges, both ascending, packed for
-    agents first, first + 1, ...: agent first + q has the neighbors
-    nbrs[nbr_ptr[q]:nbr_ptr[q + 1]] and the incident edges edges[ptr[q]:ptr[q + 1]].
-    With every agent's rows laid end to end, entry e's edge has the rows from
-    starts[e] on and agent first + q the rows row_ptr[q]:row_ptr[q + 1]."""
-
-    __slots__ = ("first", "nbrs", "nbr_ptr", "edges", "ptr", "starts", "row_ptr")
-
-    def __init__(self, nbrs, nbr_ptr, edges, ptr, rows, first=0):
-        """``pack``ed neighbors and incident edges; rows[e]: entry e's row count."""
-        self.first, self.nbrs, self.nbr_ptr, self.edges, self.ptr = first, nbrs, nbr_ptr, edges, ptr
-        ends = np.cumsum(rows, dtype=np.intp)
-        self.starts = ends - rows
-        self.row_ptr = np.append(0, ends)[ptr]
-
-    def of(self, a) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        """Agent a's neighbors, incident edges and their row offsets, as tuples."""
-        q = a - self.first
-        lo, hi = self.ptr[q:q + 2]
-        rows = np.append(self.starts[lo:hi], self.row_ptr[q + 1]) - self.row_ptr[q]
-        return (tuple(self.nbrs[self.nbr_ptr[q]:self.nbr_ptr[q + 1]].tolist()),
-                tuple(self.edges[lo:hi].tolist()), tuple(rows.tolist()))
-
-    def slot(self, i, j) -> np.ndarray:
-        """The slot of agent i that belongs to its neighbor j, elementwise."""
-        n = len(self.nbr_ptr) - 1
-        key = np.repeat(np.arange(n), np.diff(self.nbr_ptr)) * n + self.nbrs
-        return np.searchsorted(key, i * n + j) - self.nbr_ptr[i]
-
-
 class AgentState:
     """Agent i's state, views of its segment (see the module docstring).
 
@@ -178,7 +140,9 @@ class AgentState:
         ``buf`` is a zeroed segment to live in, or None for a new one."""
         if len(rows) != len(incident) + 1:
             raise ValueError(f"{len(rows)} row offsets for {len(incident)} edges")
-        tables = Tables(*pack([neighbors]), *pack([incident]), np.diff(rows), first=i)
+        nbrs, edges = np.array(neighbors, np.intp), np.array(incident, np.intp)
+        tables = Tables(nbrs, np.array([0, len(nbrs)]), edges, np.array([0, len(edges)]),
+                        np.diff(rows), first=i)
         self._carve(i, rho, tables, [], (rows[-1], len(neighbors), len(x_star)), buf)
         self._take_linearization(J, r, x_star)
 

@@ -63,8 +63,8 @@ def _grade(scn: Scenario, result: SolveResult) -> FaultReport:
     tp = len(identified & true_faults)
     precision = tp / len(identified) if identified else 1.0
     recall = tp / len(true_faults) if true_faults else 1.0
-    max_err = float(np.max(np.abs(result.x_star.data - x_true.data))) \
-        if len(x_true.data) else 0.0
+    error = BlockVec(x_true.structure, result.x_star.data - x_true.data)
+    max_err = float(np.max(error.block_norms(), initial=0.0))
 
     return FaultReport(
         identified=identified,

@@ -9,14 +9,15 @@ Each inner iteration has three phases with a global barrier between them:
   3. every agent runs its dual updates locally.
 
 Every agent lives in its own segment of the network's one arena of floats;
-the network builds its agents there from packed ``Tables`` (neighbors,
-incident edges, rows) that they all share, and each linearization is
-written into the arena from outside, at the field starts ``start``.
-Sends are the only cross-agent channel: index maps into the arena, built
-once from the neighbor tables and, by field name, the agent ``layout``.
-``route`` maps each slot row ("i's slot for j", in id order) to the row
-that feeds it ("j's slot for i"); finding it checks the tables (ascending,
-of other agents, symmetric), so no agent can reach a non-neighbor.
+the network builds its agents there from the ``topology.Tables`` that
+``build_tables`` packs once per network (neighbors, incident edges, rows,
+the slot key), shared by all, and each linearization is written into the
+arena from outside, at the field starts ``start``. Sends are the only
+cross-agent channel: index maps into the arena, built once from the
+tables and, by field name, the agent ``layout``. ``route`` maps each slot
+row ("i's slot for j", in id order) to the row that feeds it ("j's slot
+for i"); finding it checks the tables (ascending, of other agents,
+symmetric), so no agent can reach a non-neighbor.
 ``delivery`` pairs, per delivering phase, every entry of its receive slots
 (``SLOT_ARRAYS``) with the sender's entry (``SENT_FIELDS``) that feeds it:
 one take and one write back cover every slot. The round statistics read
@@ -29,12 +30,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .agent import AgentState, Tables, layout
+from .agent import AgentState, layout
 from .exceptions import ProtocolViolation
+from .topology import Tables, index_ranges
 
 PHASE_XBAR = 1
 PHASE_COPY = 2
@@ -63,13 +64,6 @@ class Message:
     payload: np.ndarray  # read-only
 
 
-def index_ranges(starts: np.ndarray, lengths) -> np.ndarray:
-    """The ranges [s, s + l) for each start s and length l, concatenated."""
-    lengths = np.broadcast_to(lengths, starts.shape)
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
-
-
 class Network:
     """A set of agents plus the sole communication channel between them."""
 
@@ -79,8 +73,7 @@ class Network:
         n = len(tables.nbr_ptr) - 1
         k, m = np.diff(tables.nbr_ptr), np.diff(tables.row_ptr)
         i = np.repeat(np.arange(n), k)  # slot row q: agent i's slot for neighbor j
-        j = tables.nbrs
-        key = i * n + j
+        j, key = tables.nbrs, tables.key
         self.route = np.searchsorted(key, j * n + i).clip(max=len(key) - 1)
         if not (np.all((j >= 0) & (j < n) & (j != i)) and np.all(key[1:] > key[:-1])
                 and np.array_equal(key[self.route], j * n + i)):

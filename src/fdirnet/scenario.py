@@ -117,9 +117,10 @@ class Scenario:
             yaml.safe_dump(self.to_dict(), fh, sort_keys=False)
 
 
-def _require(cond, msg):
+def _require(cond, msg, *args):
+    """Raise ScenarioError(msg.format(*args)) unless cond; a passing check formats nothing."""
     if not cond:
-        raise ScenarioError(msg)
+        raise ScenarioError(msg.format(*args))
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -133,17 +134,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(agents, list) and agents, "agents: non-empty list required")
     by_id = {}
     for idx, a in enumerate(agents):
-        _require(isinstance(a, dict) and "id" in a, f"agents[{idx}]: needs an id")
+        _require(isinstance(a, dict) and "id" in a, "agents[{}]: needs an id", idx)
         aid = a["id"]
         # type(v) is int: YAML's true and false are ints too (bool subclasses int)
-        _require(type(aid) is int, f"agents[{idx}].id: must be an integer")
-        _require(aid not in by_id, f"agents[{idx}].id: duplicate id {aid}")
+        _require(type(aid) is int, "agents[{}].id: must be an integer", idx)
+        _require(aid not in by_id, "agents[{}].id: duplicate id {}", idx, aid)
         ts = a.get("true_state")
         _require(isinstance(ts, list) and len(ts) == d and all(map(is_finite_number, ts)),
-                 f"agents[{idx}].true_state: needs {d} finite numbers")
+                 "agents[{}].true_state: needs {} finite numbers", idx, d)
         rs = a.get("reported_state", ts)
         _require(isinstance(rs, list) and len(rs) == d and all(map(is_finite_number, rs)),
-                 f"agents[{idx}].reported_state: needs {d} finite numbers")
+                 "agents[{}].reported_state: needs {} finite numbers", idx, d)
         by_id[aid] = (np.array(ts, dtype=float), np.array(rs, dtype=float))
     agent_ids = tuple(sorted(by_id))
     index_of = {aid: k for k, aid in enumerate(agent_ids)}
@@ -152,7 +153,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(edges_doc, list), "edges: must be a list")
     edges, kinds, sigmas = [], [], []
     for l, e in enumerate(edges_doc):
-        _require(isinstance(e, dict), f"edges[{l}]: must be a mapping")
+        _require(isinstance(e, dict), "edges[{}]: must be a mapping", l)
         kind_name = e.get("kind")
         try:
             kind = MeasurementKind(kind_name)
@@ -161,15 +162,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 f"edges[{l}].kind: unknown kind {kind_name!r}"
             ) from None
         members = e.get("members")
-        _require(isinstance(members, list), f"edges[{l}].members: must be a list")
+        _require(isinstance(members, list), "edges[{}].members: must be a list", l)
         for m in members:
             _require(type(m) is int and m in index_of,
-                     f"edges[{l}].members: unknown agent id {m}")
-        _require(len(members) == kind.arity,
-                 f"edges[{l}].members: {kind.value} needs {kind.arity} members")
+                     "edges[{}].members: unknown agent id {}", l, m)
         sigma = e.get("sigma", 0.0)
         _require(is_finite_number(sigma) and sigma >= 0,
-                 f"edges[{l}].sigma: must be a finite non-negative number")
+                 "edges[{}].sigma: must be a finite non-negative number", l)
         edges.append(tuple(index_of[m] for m in members))
         kinds.append(kind)
         sigmas.append(float(sigma))
@@ -179,19 +178,19 @@ def scenario_from_dict(doc: dict) -> Scenario:
     inner_keys = {f.name for f in fields(InnerParams)}
     outer_keys = {f.name for f in fields(OuterParams)}
     for key in solver:
-        _require(key in inner_keys | outer_keys, f"solver.{key}: unknown option")
+        _require(key in inner_keys | outer_keys, "solver.{}: unknown option", key)
     try:  # the parameter classes check the values
         inner = InnerParams(**{k: v for k, v in solver.items() if k in inner_keys})
         outer = OuterParams(**{k: v for k, v in solver.items() if k in outer_keys})
     except ValueError as exc:
         raise ScenarioError(f"solver.{exc}") from None
 
-    try:  # the hypergraph checks that no edge repeats a member
+    try:  # the hypergraph checks that no edge repeats a member, the stack each member count
         graph = Hypergraph(num_vertices=len(agent_ids), edges=tuple(edges),
                            kinds=tuple(kinds))
+        stack = MeasurementStack(graph=graph, d=d, sigmas=tuple(sigmas))
     except ValueError as exc:
         raise ScenarioError(f"edges: {exc}") from None
-    stack = MeasurementStack(graph=graph, d=d, sigmas=tuple(sigmas))
     true_states = BlockVec.from_blocks([by_id[a][0] for a in agent_ids])
     reported = BlockVec.from_blocks([by_id[a][1] for a in agent_ids])
     return Scenario(d=d, agent_ids=agent_ids, true_states=true_states,

@@ -24,12 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import AgentState, Tables, pack
 from .blocklin import BlockStructure, BlockVec, block_sparsity, support
 from .exceptions import DomainViolation, NumericalOverflow
 from .measurements import MeasurementStack, eval_stack, jacobian_stack
-from .netsim import Network, index_ranges
-from .topology import build_tables
+from .netsim import Network
+from .topology import build_tables, index_ranges
 
 
 def is_finite_number(v) -> bool:
@@ -169,13 +168,10 @@ def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
                   x_star: BlockVec, rho: float,
                   record_trace: bool = False) -> Network:
     """Agents with the linearization (J, r) taken at p_point."""
-    tables = build_tables(stack.graph)
     blocks = jacobian_stack(stack, p_point).by_kind  # R's dict of block views goes at once
     resid = y.data - eval_stack(stack, p_point).data
-    edges, ptr = pack(tables.incident)
-    network = Network(Tables(*pack(map(sorted, tables.neighbors)), edges, ptr,
-                             np.array(stack.row_structure.lengths, np.intp)[edges]),
-                      stack.d, rho, record_trace=record_trace)
+    network = Network(build_tables(stack.graph, stack.row_structure.lengths), stack.d, rho,
+                      record_trace=record_trace)
     network.fill = _fill_map(stack, network)
     _write_linearization(network, blocks, resid, x_star)
     return network

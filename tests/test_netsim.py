@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdirnet.agent import AgentState, Tables, pack
+from fdirnet.agent import AgentState
 from fdirnet.blocklin import BlockVec
 from fdirnet.exceptions import ProtocolViolation
 from fdirnet.measurements import MeasurementKind as K, MeasurementStack, eval_stack
@@ -19,7 +19,7 @@ from fdirnet.netsim import (
     message_stats,
 )
 from fdirnet.solver import build_network
-from fdirnet.topology import Hypergraph, build_tables
+from fdirnet.topology import Hypergraph, Tables, build_tables
 
 from conftest import geometric_positions, path_distance_stack
 
@@ -60,11 +60,11 @@ def test_isolated_agent_sends_nothing(rng):
 def test_messages_per_iteration_counting(rng):
     net, stack = make_net(rng, n=5, record_trace=True)
     net.run_iteration()
-    tables = build_tables(stack.graph)
+    tables = build_tables(stack.graph, stack.row_structure.lengths)
     per_kind = {KIND_XBAR: 0, KIND_MU: 0, KIND_COPY: 0}
     for m in net.trace:
         per_kind[m.kind] += 1
-    total_nbr = sum(len(tables.neighbors[i]) for i in range(5))
+    total_nbr = len(tables.nbrs)  # every neighbor of the 5 agents
     assert per_kind == {KIND_XBAR: total_nbr, KIND_MU: total_nbr,
                         KIND_COPY: total_nbr}
 
@@ -216,7 +216,11 @@ def test_malformed_neighbor_tables_rejected_at_construction(neighbors, monkeypat
         raise AssertionError("an agent was built")
 
     monkeypatch.setattr(AgentState, "on_segment", on_segment)
-    tables = Tables(*pack(neighbors), *pack([()] * len(neighbors)), np.zeros(0, np.intp))
+    # packed by hand: build_tables cannot make malformed tables
+    nbrs = np.array([j for nb in neighbors for j in nb], np.intp)
+    no_edges = np.zeros(len(neighbors) + 1, np.intp)  # every ptr 0
+    tables = Tables(nbrs, np.cumsum([0, *map(len, neighbors)]), no_edges[:0], no_edges,
+                    no_edges[:0])
     with pytest.raises(ProtocolViolation, match="symmetric"):
         Network(tables, 2, 1.0)
 

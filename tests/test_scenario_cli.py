@@ -13,9 +13,11 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdirnet.cli import EXIT_DEGRADED, EXIT_ERROR, EXIT_OK, main
+from fdirnet.blocklin import BlockVec
+from fdirnet.cli import EXIT_DEGRADED, EXIT_ERROR, EXIT_OK, _grade, main
 from fdirnet.measurements import MeasurementKind
 from fdirnet.scenario import ScenarioError, load_scenario, scenario_from_dict
+from fdirnet.solver import RunTrace, SolveResult
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -341,6 +343,17 @@ def test_cli_report_counts_each_outer_iteration(tmp_path, capsys):
         prox = sum(scn.num_agents - int(row["fastpath_count"]) for row in rows)
         assert line == (f"  outer iteration {k}: {len(rows)} rounds, "
                         f"inner stop {stops[-1]}, {prox} prox calls")
+
+def test_report_max_block_error_is_the_largest_block_norm():
+    # agent 1's block is off by (3e-3, 4e-3): its norm is 5e-3, its largest
+    # entry 4e-3
+    scn = scenario_from_dict(base_doc())
+    x_true = scn.true_states.data - scn.reported_states.data
+    x_star = BlockVec(scn.true_states.structure, x_true + [0.0, 0.0, 3e-3, 4e-3, 0.0, 0.0])
+    report = _grade(scn, SolveResult(x_star, frozenset({1}), RunTrace(), False, 1, 0.0, "step"))
+    assert report.max_block_error == pytest.approx(5e-3, rel=1e-12)
+    assert "max block reconstruction error: 5.000e-03" in report.to_text()
+
 
 def test_cli_run_writes_report_and_traces(tmp_path, capsys):
     out = tmp_path / "out"

@@ -2,34 +2,52 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fdirnet
 
+from fdirnet.netsim import Network
 from fdirnet.topology import Hypergraph, build_tables, validate_connectivity
+
+
+def one_row_each(g):
+    return build_tables(g, [1] * g.num_edges)
+
+
+def neighbors(t, i):
+    return t.nbrs[t.nbr_ptr[i]:t.nbr_ptr[i + 1]].tolist()
+
+
+def incident(t, i):
+    return t.edges[t.ptr[i]:t.ptr[i + 1]].tolist()
 
 
 def test_build_tables_pair_edges():
     g = Hypergraph(3, ((0, 1), (1, 2)))
-    t = build_tables(g)
-    assert t.neighbors[1] == {0, 2}
-    assert t.incident[1] == (0, 1)
-    assert t.neighbors[0] == {1}
+    t = one_row_each(g)
+    assert neighbors(t, 1) == [0, 2]
+    assert incident(t, 1) == [0, 1]
+    assert neighbors(t, 0) == [1]
 
 
 def test_hyperedge_connects_all_members():
     g = Hypergraph(3, ((0, 1, 2),))
-    t = build_tables(g)
-    assert t.neighbors[0] == {1, 2}
-    assert t.incident[2] == (0,)
+    t = one_row_each(g)
+    assert neighbors(t, 0) == [1, 2]
+    assert incident(t, 2) == [0]
 
 
 def test_empty_edge_list():
-    t = build_tables(Hypergraph(4, ()))
-    assert all(n == frozenset() for n in t.neighbors)
+    t = one_row_each(Hypergraph(4, ()))
+    assert all(neighbors(t, i) == [] for i in range(4))
 
 
-def test_symmetry_and_incidence_brute_force(rng):
+def drawn_hypergraphs(rng):
+    """Random hypergraphs with pair edges and hyperedges, some with
+    duplicate edges and isolated vertices, and the empty one."""
+    yield Hypergraph(0, ())
+    yield Hypergraph(5, ((3, 1), (1, 3), (0, 3, 1)))  # duplicates; 2 and 4 isolated
     for _ in range(20):
         nv = int(rng.integers(2, 8))
         edges = []
@@ -37,15 +55,29 @@ def test_symmetry_and_incidence_brute_force(rng):
             size = int(rng.integers(2, min(nv, 3) + 1))
             edges.append(tuple(int(v) for v in
                                rng.choice(nv, size=size, replace=False)))
-        g = Hypergraph(nv, tuple(edges))
-        t = build_tables(g)
+        if edges and rng.random() < 0.5:
+            edges.append(edges[int(rng.integers(len(edges)))])
+        yield Hypergraph(nv, tuple(edges))
+
+
+def test_symmetry_and_incidence_brute_force(rng):
+    for g in drawn_hypergraphs(rng):
+        nv = g.num_vertices
+        rows = rng.integers(1, 4, size=g.num_edges)
+        t = build_tables(g, rows)
         for i in range(nv):
+            nbrs_i, inc_i = neighbors(t, i), incident(t, i)
+            # ascending, and equal to the brute-force sets
+            assert nbrs_i == sorted({j for e in g.edges if i in e for j in e} - {i})
+            assert inc_i == [l for l, e in enumerate(g.edges) if i in e]
+            assert t.of(i)[2] == tuple(np.cumsum([0, *rows[inc_i]]).tolist())
             for j in range(nv):
                 expected = i != j and any(i in e and j in e for e in g.edges)
-                assert (j in t.neighbors[i]) == expected
-                assert (j in t.neighbors[i]) == (i in t.neighbors[j])
+                assert (j in nbrs_i) == expected
+                assert (j in nbrs_i) == (i in neighbors(t, j))
             for l, e in enumerate(g.edges):
-                assert (l in t.incident[i]) == (i in e)
+                assert (l in inc_i) == (i in e)
+        Network(t, 2, 1.0)  # the network accepts every drawn table
 
 
 def test_invalid_edges_rejected():
@@ -59,7 +91,19 @@ def test_invalid_edges_rejected():
 
 def test_duplicate_edges_allowed():
     g = Hypergraph(2, ((0, 1), (0, 1)))
-    assert build_tables(g).incident[0] == (0, 1)
+    assert incident(one_row_each(g), 0) == [0, 1]
+
+
+@pytest.mark.parametrize("member", [1.7, 1.0, True, np.True_, "1", None])
+def test_non_integer_members_rejected(member):
+    # int() would truncate 1.7 to 1 and read True as 1
+    with pytest.raises(ValueError, match="edge 1 has a member that is not an integer"):
+        Hypergraph(3, ((0, 2), (0, member)))
+
+
+def test_numpy_integer_members_pass():
+    g = Hypergraph(3, ((np.int32(0), np.int64(2)),))
+    assert g.edges == ((0, 2),) and type(g.edges[0][0]) is int
 
 
 def test_connectivity():
