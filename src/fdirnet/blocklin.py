@@ -21,8 +21,8 @@ class BlockStructure:
     total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(n) for n in self.lengths))
-        if any(n < 1 for n in self.lengths):
+        object.__setattr__(self, "lengths", tuple(map(int, self.lengths)))
+        if self.lengths and min(self.lengths) < 1:
             raise ValueError("block lengths must be positive")
         object.__setattr__(self, "total", sum(self.lengths))
 

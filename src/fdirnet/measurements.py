@@ -16,12 +16,17 @@ Each model is defined once, in ``_model``: its value and its Jacobian come
 from the same separations, evaluated for all edges of one kind at a time.
 ``eval_stack`` and ``jacobian_stack`` make one such call per kind present;
 ``eval_edge`` and ``jacobian_edge`` are the same call on a one-edge batch.
+
+``MeasurementStack`` codes each edge's kind by its index in ``KINDS`` and
+checks every member count at once against the hypergraph's ``arity``; an
+error names the lowest offending edge. ``row_structure`` and the per-kind
+groups (edges, member array, rows, block keys) come from those codes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -29,7 +34,7 @@ import numpy as np
 
 from .blocklin import BlockMat, BlockStructure, BlockVec
 from .exceptions import DomainViolation
-from .topology import Hypergraph
+from .topology import Hypergraph, index_ranges
 
 # domain floor for separation norms, in state units
 EPS_DOM = 1e-9
@@ -50,6 +55,9 @@ class MeasurementKind(enum.Enum):
         if self in (MeasurementKind.DISPLACEMENT, MeasurementKind.BEARING):
             return d
         return 1
+
+
+KINDS = tuple(MeasurementKind)
 
 
 def _model(kind: MeasurementKind, P: np.ndarray, jac: bool = False, edges=None):
@@ -135,16 +143,22 @@ class MeasurementStack:
     d: int
     sigmas: tuple[float, ...] | None = None
 
+    codes: np.ndarray = field(init=False, repr=False, compare=False)  # index in KINDS per edge
+
     def __post_init__(self):
-        if self.graph.kinds is None:
+        g = self.graph
+        if g.kinds is None:
             raise ValueError("hypergraph must carry measurement kinds")
-        for l, (e, kind) in enumerate(zip(self.graph.edges, self.graph.kinds)):
-            if not isinstance(kind, MeasurementKind):
-                raise TypeError(f"edge {l} kind must be a MeasurementKind")
-            if len(e) != kind.arity:
-                raise ValueError(
-                    f"edge {l}: {kind.value} needs {kind.arity} members, got {len(e)}"
-                )
+        try:  # an enum member matches itself only, by identity
+            codes = np.fromiter(map(KINDS.index, g.kinds), np.intp, g.num_edges)
+        except ValueError:
+            l = [not isinstance(k, MeasurementKind) for k in g.kinds].index(True)
+            raise TypeError(f"edge {l} kind must be a MeasurementKind") from None
+        if len(bad := np.flatnonzero(np.array([k.arity for k in KINDS])[codes] != g.arity)):
+            kind = g.kinds[bad[0]]
+            raise ValueError(f"edge {bad[0]}: {kind.value} needs {kind.arity} members, "
+                             f"got {g.arity[bad[0]]}")
+        vars(self)["codes"] = codes
         if self.sigmas is not None:
             s = np.asarray(self.sigmas, dtype=float)
             if s.shape != (self.graph.num_edges,) or not np.all((s >= 0) & (s < np.inf)):
@@ -160,9 +174,7 @@ class MeasurementStack:
 
     @cached_property
     def row_structure(self) -> BlockStructure:
-        return BlockStructure(
-            tuple(k.output_dim(self.d) for k in self.graph.kinds)
-        )
+        return BlockStructure(np.array([k.output_dim(self.d) for k in KINDS])[self.codes].tolist())
 
     @cached_property
     def col_structure(self) -> BlockStructure:
@@ -170,14 +182,16 @@ class MeasurementStack:
 
     @cached_property
     def _groups(self) -> tuple:
-        """Per kind: (kind, edges, members (E x arity), rows (E x m), block keys)."""
-        g, offsets = self.graph, self.row_structure.offsets
+        """Per kind, in order of first appearance: (kind, edges, members
+        (E x arity), rows (E x m), block keys)."""
+        g, offsets = self.graph, np.array(self.row_structure.offsets)
         groups = []
-        for kind in dict.fromkeys(g.kinds):
-            ls = [l for l, k in enumerate(g.kinds) if k is kind]
-            rows = np.add.outer([offsets[l] for l in ls], range(kind.output_dim(self.d)))
-            groups.append((kind, np.array(ls), np.array([g.edges[l] for l in ls]), rows,
-                           [(l, i) for l in ls for i in g.edges[l]]))
+        for code in dict.fromkeys(self.codes.tolist()):
+            kind, ls = KINDS[code], np.flatnonzero(self.codes == code)
+            members = g.members[index_ranges((np.cumsum(g.arity) - g.arity)[ls], kind.arity)]
+            keys = list(zip(np.repeat(ls, kind.arity).tolist(), members.tolist()))
+            groups.append((kind, ls, members.reshape(-1, kind.arity),
+                           offsets[ls, None] + np.arange(kind.output_dim(self.d)), keys))
         return tuple(groups)
 
     @cached_property

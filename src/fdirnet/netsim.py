@@ -27,7 +27,6 @@ and returned by ``run_phase``, only when the trace is recorded.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -72,8 +71,8 @@ class Network:
         penalty rho; ``fill`` is left to whoever writes the linearizations."""
         n = len(tables.nbr_ptr) - 1
         k, m = np.diff(tables.nbr_ptr), np.diff(tables.row_ptr)
-        i = np.repeat(np.arange(n), k)  # slot row q: agent i's slot for neighbor j
-        j, key = tables.nbrs, tables.key
+        # slot row q: agent i's slot for neighbor j
+        i, j, key = tables.slot_agent, tables.nbrs, tables.key
         self.route = np.searchsorted(key, j * n + i).clip(max=len(key) - 1)
         if not (np.all((j >= 0) & (j < n) & (j != i)) and np.all(key[1:] > key[:-1])
                 and np.array_equal(key[self.route], j * n + i)):
@@ -181,11 +180,3 @@ def message_stats(trace: list[Message]) -> dict[int, dict]:
         per_round["floats"] += len(m.payload)
     return stats
 
-
-def dump_trace_csv(trace: list[Message], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "phase", "sender", "receiver", "kind", "payload_norm"])
-        for m in trace:
-            writer.writerow([m.round, m.phase, m.sender, m.receiver, m.kind,
-                             float(np.linalg.norm(m.payload))])

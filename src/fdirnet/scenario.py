@@ -27,17 +27,26 @@ A fault at an agent is expressed by making reported_state differ from
 true_state. The solver only consumes (reported states, measurements,
 topology); true states are used to synthesize measurements and to grade
 the result.
+
+``scenario_from_dict`` reads the agents and the edges in one pass each and
+runs each check once over a whole list: ids, states and sigmas here (one
+float array then holds both state vectors), member types, ranges and repeats
+in ``Hypergraph``, member counts in ``MeasurementStack``. A check names the
+first entry it rejects, so a document with one defect gets the message an
+entry-by-entry reading gives.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 import yaml
 
-from .blocklin import BlockVec
+from .blocklin import BlockStructure, BlockVec
 from .exceptions import DomainViolation
 from .measurements import MeasurementKind, MeasurementStack, eval_stack
 from .solver import InnerParams, OuterParams, is_finite_number
@@ -72,11 +81,11 @@ class Scenario:
                 y = eval_stack(self.stack, self.true_states)
             except DomainViolation as exc:
                 raise ScenarioError(f"edges[{exc.edge}]: {exc}") from None
-            if any(s > 0 for s in self.stack.sigmas):
-                rng = np.random.default_rng(self.seed)
-                for l, sigma in enumerate(self.stack.sigmas):
-                    if sigma > 0:
-                        y.block(l)[:] += sigma * rng.standard_normal(len(y.block(l)))
+            sigma = np.repeat(self.stack.sigmas, y.structure.lengths)  # per row
+            noisy = np.flatnonzero(sigma > 0)
+            if len(noisy):  # one draw over the rows of every noisy edge, in order
+                z = np.random.default_rng(self.seed).standard_normal(len(noisy))
+                y.data[noisy] += sigma[noisy] * z
         if not np.isfinite(y.data).all():
             row = np.flatnonzero(~np.isfinite(y.data))[0]
             raise ScenarioError(f"edges[{bisect_right(y.structure.offsets, row) - 1}]: "
@@ -117,68 +126,76 @@ class Scenario:
             yaml.safe_dump(self.to_dict(), fh, sort_keys=False)
 
 
-def _require(cond, msg, *args):
-    """Raise ScenarioError(msg.format(*args)) unless cond; a passing check formats nothing."""
-    if not cond:
-        raise ScenarioError(msg.format(*args))
+def _reject(bad, msg: str, *columns) -> None:
+    """Raise ScenarioError if any entry of bad is true: msg formatted with the
+    first such index and each column's value there; a pass formats nothing."""
+    if len(hits := np.flatnonzero(bad)):
+        raise ScenarioError(msg.format(hits[0], *(c[hits[0]] for c in columns)))
+
+
+def _finite(values) -> bool:
+    """Whether each value is a finite number (see is_finite_number), tested by
+    builtins over all of them at once: a float compares with any int exactly."""
+    return all(issubclass(t, (int, float)) and not issubclass(t, bool)
+               for t in set(map(type, values))) \
+        and all(map(sys.float_info.max.__ge__, map(abs, values)))
+
+
+_KIND_OF = {k.value: k for k in MeasurementKind}
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    _require(isinstance(doc, dict), "document must be a mapping")
+    _reject(not isinstance(doc, dict), "document must be a mapping")
     d = doc.get("dimension")
-    _require(isinstance(d, int) and d in (2, 3), "dimension: must be 2 or 3")
+    _reject(not (isinstance(d, int) and d in (2, 3)), "dimension: must be 2 or 3")
     seed = doc.get("seed", 0)
-    _require(type(seed) is int and seed >= 0, "seed: must be a non-negative integer")
+    _reject(not (type(seed) is int and seed >= 0), "seed: must be a non-negative integer")
 
     agents = doc.get("agents")
-    _require(isinstance(agents, list) and agents, "agents: non-empty list required")
-    by_id = {}
-    for idx, a in enumerate(agents):
-        _require(isinstance(a, dict) and "id" in a, "agents[{}]: needs an id", idx)
-        aid = a["id"]
-        # type(v) is int: YAML's true and false are ints too (bool subclasses int)
-        _require(type(aid) is int, "agents[{}].id: must be an integer", idx)
-        _require(aid not in by_id, "agents[{}].id: duplicate id {}", idx, aid)
-        ts = a.get("true_state")
-        _require(isinstance(ts, list) and len(ts) == d and all(map(is_finite_number, ts)),
-                 "agents[{}].true_state: needs {} finite numbers", idx, d)
-        rs = a.get("reported_state", ts)
-        _require(isinstance(rs, list) and len(rs) == d and all(map(is_finite_number, rs)),
-                 "agents[{}].reported_state: needs {} finite numbers", idx, d)
-        by_id[aid] = (np.array(ts, dtype=float), np.array(rs, dtype=float))
-    agent_ids = tuple(sorted(by_id))
-    index_of = {aid: k for k, aid in enumerate(agent_ids)}
+    _reject(not (isinstance(agents, list) and agents), "agents: non-empty list required")
+    entries = [(a["id"], a.get("true_state"), a.get("reported_state", a.get("true_state")))
+               if isinstance(a, dict) and "id" in a else None for a in agents]
+    _reject([e is None for e in entries], "agents[{}]: needs an id")
+    ids, true_rows, reported_rows = zip(*entries)
+    # type(v) is int: YAML's true and false are ints too (bool subclasses int)
+    _reject([type(aid) is not int for aid in ids], "agents[{}].id: must be an integer")
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # each id's first entry
+    _reject([first[aid] != k for k, aid in enumerate(ids)], "agents[{}].id: duplicate id {}",
+            ids)
+    coords = [v for r in true_rows + reported_rows if isinstance(r, list) and len(r) == d
+              for v in r]
+    if not (len(coords) == 2 * d * len(ids) and _finite(coords)):
+        for name, rows in (("true_state", true_rows), ("reported_state", reported_rows)):
+            _reject([not (isinstance(r, list) and len(r) == d and all(map(is_finite_number, r)))
+                     for r in rows], f"agents[{{}}].{name}: needs {d} finite numbers")
+    agent_ids = tuple(sorted(ids))
+    index_of = dict(zip(agent_ids, range(len(ids))))
 
     edges_doc = doc.get("edges", [])
-    _require(isinstance(edges_doc, list), "edges: must be a list")
-    edges, kinds, sigmas = [], [], []
-    for l, e in enumerate(edges_doc):
-        _require(isinstance(e, dict), "edges[{}]: must be a mapping", l)
-        kind_name = e.get("kind")
-        try:
-            kind = MeasurementKind(kind_name)
-        except ValueError:
-            raise ScenarioError(
-                f"edges[{l}].kind: unknown kind {kind_name!r}"
-            ) from None
-        members = e.get("members")
-        _require(isinstance(members, list), "edges[{}].members: must be a list", l)
-        for m in members:
-            _require(type(m) is int and m in index_of,
-                     "edges[{}].members: unknown agent id {}", l, m)
-        sigma = e.get("sigma", 0.0)
-        _require(is_finite_number(sigma) and sigma >= 0,
-                 "edges[{}].sigma: must be a finite non-negative number", l)
-        edges.append(tuple(index_of[m] for m in members))
-        kinds.append(kind)
-        sigmas.append(float(sigma))
+    _reject(not isinstance(edges_doc, list), "edges: must be a list")
+    entries = [(e.get("kind"), e.get("members"), e.get("sigma", 0.0))
+               if isinstance(e, dict) else None for e in edges_doc]
+    _reject([e is None for e in entries], "edges[{}]: must be a mapping")
+    names, members, sigmas = zip(*entries) if entries else ((),) * 3
+    kinds = [_KIND_OF.get(k) if isinstance(k, str) else None for k in names]
+    _reject([k is None for k in kinds], "edges[{}].kind: unknown kind {!r}", names)
+    _reject([not isinstance(m, list) for m in members], "edges[{}].members: must be a list")
+    flat = list(chain.from_iterable(members))
+    if not (set(map(type, flat)) <= {int} and index_of.keys() >= set(flat)):  # no bool
+        _reject([not (type(m) is int and m in index_of) for m in flat],
+                "edges[{1}].members: unknown agent id {2}",
+                np.repeat(np.arange(len(members)), list(map(len, members))), flat)
+    if not (_finite(sigmas) and min(sigmas, default=0) >= 0):
+        _reject([not (is_finite_number(s) and s >= 0) for s in sigmas],
+                "edges[{}].sigma: must be a finite non-negative number")
+    edges = tuple(tuple(map(index_of.__getitem__, m)) for m in members)
 
     solver = doc.get("solver") or {}
-    _require(isinstance(solver, dict), "solver: must be a mapping")
+    _reject(not isinstance(solver, dict), "solver: must be a mapping")
     inner_keys = {f.name for f in fields(InnerParams)}
     outer_keys = {f.name for f in fields(OuterParams)}
-    for key in solver:
-        _require(key in inner_keys | outer_keys, "solver.{}: unknown option", key)
+    _reject([k not in inner_keys | outer_keys for k in solver], "solver.{1}: unknown option",
+            list(solver))
     try:  # the parameter classes check the values
         inner = InnerParams(**{k: v for k, v in solver.items() if k in inner_keys})
         outer = OuterParams(**{k: v for k, v in solver.items() if k in outer_keys})
@@ -186,13 +203,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError(f"solver.{exc}") from None
 
     try:  # the hypergraph checks that no edge repeats a member, the stack each member count
-        graph = Hypergraph(num_vertices=len(agent_ids), edges=tuple(edges),
-                           kinds=tuple(kinds))
-        stack = MeasurementStack(graph=graph, d=d, sigmas=tuple(sigmas))
+        graph = Hypergraph(num_vertices=len(agent_ids), edges=edges, kinds=tuple(kinds))
+        stack = MeasurementStack(graph=graph, d=d, sigmas=tuple(map(float, sigmas)))
     except ValueError as exc:
         raise ScenarioError(f"edges: {exc}") from None
-    true_states = BlockVec.from_blocks([by_id[a][0] for a in agent_ids])
-    reported = BlockVec.from_blocks([by_id[a][1] for a in agent_ids])
+    order = list(map(first.__getitem__, agent_ids))  # agents by id
+    states = np.array(coords, dtype=float).reshape(2, len(ids), d)[:, order].reshape(2, -1)
+    true_states, reported = (BlockVec(BlockStructure((d,) * len(ids)), x) for x in states)
     return Scenario(d=d, agent_ids=agent_ids, true_states=true_states,
                     reported_states=reported, stack=stack, seed=seed,
                     inner_params=inner, outer_params=outer)

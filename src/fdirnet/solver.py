@@ -120,7 +120,7 @@ def _fill_map(stack: MeasurementStack, network: Network) -> tuple:
     t, start, d, L = network.tables, network.start, stack.d, stack.graph.num_edges  # t: Tables
     k = np.diff(t.nbr_ptr)
     cols = (1 + k) * d  # of each agent's J
-    agent = np.repeat(np.arange(len(k)), np.diff(t.ptr))  # of each incident edge entry
+    agent = t.entry_agent
     first_row = t.starts - t.row_ptr[agent]  # of each entry's rows, in its agent's J
     J_dst = [np.zeros(0, np.intp)]
     for kind, ls, members, _, _ in stack._groups:
@@ -134,14 +134,13 @@ def _fill_map(stack: MeasurementStack, network: Network) -> tuple:
         at = start["J"][q] + first_row[entry] * cols[q] + col
         J_dst.append((at[..., None, None] + cols[q][..., None, None] * np.arange(m)[:, None]
                       + np.arange(d)).ravel())
-    rows = np.diff(np.append(t.starts, t.row_ptr[-1]))  # of each entry's edge
     groups = []
     for size in np.unique(k[k > 0]):
         of_k = np.flatnonzero(k == size)
         groups.append(([network.ordered[a] for a in of_k], start["H_inv"][of_k]))
     return (np.concatenate(J_dst),
-            (index_ranges(start["r"][agent] + first_row, rows),
-             index_ranges(np.take(stack.row_structure.offsets, t.edges), rows)),
+            (index_ranges(start["r"][agent] + first_row, t.rows),
+             index_ranges(np.take(stack.row_structure.offsets, t.edges), t.rows)),
             index_ranges(start["x_star"], d), groups)
 
 

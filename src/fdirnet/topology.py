@@ -6,15 +6,19 @@ member vertices and carries an optional measurement-kind tag; ordering of
 both vertices and edges is fixed at construction. Duplicate hyperedges are
 allowed (two sensors can measure the same quantity).
 
-``build_tables`` packs with numpy each vertex's neighbors N_i (the vertices
-it shares an edge with), incident edges E_i and their rows into ``Tables``,
-once per network (``solver.build_network``): the ``netsim.Network``, its
-agents, the solver's fill map and ``validate_connectivity`` all read it.
+``Hypergraph`` lays all members end to end in one array, ``members``, with
+each edge's count in ``arity``, and runs its checks (empty, member type,
+range, repeats) once on them; an error names the lowest offending edge.
+``build_tables`` packs from those arrays with numpy each vertex's neighbors
+N_i (the vertices it shares an edge with), incident edges E_i and their rows
+into ``Tables``, once per network (``solver.build_network``): the
+``netsim.Network``, its agents, the solver's fill map and
+``validate_connectivity`` all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -25,23 +29,35 @@ class Hypergraph:
     num_vertices: int
     edges: tuple[tuple[int, ...], ...]
     kinds: tuple | None = None  # one tag per edge, or None
+    members: np.ndarray = field(init=False, repr=False, compare=False)  # all, end to end
+    arity: np.ndarray = field(init=False, repr=False, compare=False)  # each edge's count
 
     def __post_init__(self):
         edges = tuple(map(tuple, self.edges))
-        for l, e in enumerate(edges):
-            if len(e) == 0:
-                raise ValueError(f"edge {l} is empty")
-            for v in e:
-                # bool subclasses int, and int() would truncate a float
-                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                    raise ValueError(f"edge {l} has a member that is not an integer: {e}")
-                if not 0 <= v < self.num_vertices:
-                    raise ValueError(f"edge {l} references vertex {v} out of range")
-            if len(set(e)) != len(e):
-                raise ValueError(f"edge {l} repeats a vertex")
-        object.__setattr__(self, "edges", tuple(tuple(map(int, e)) for e in edges))
-        if self.kinds is not None and len(self.kinds) != len(self.edges):
+        arity = np.fromiter(map(len, edges), np.intp, len(edges))
+        flat = list(chain.from_iterable(edges))
+        edge = np.repeat(np.arange(len(edges)), arity)  # of each member entry
+        if not arity.all():
+            raise ValueError(f"edge {np.argmin(arity)} is empty")
+        types = set(map(type, flat))
+        # bool subclasses int, and int() would truncate a float
+        odd = {t for t in types if issubclass(t, bool) or not issubclass(t, (int, np.integer))}
+        if odd:
+            l = edge[[type(v) in odd for v in flat].index(True)]
+            raise ValueError(f"edge {l} has a member that is not an integer: {edges[l]}")
+        members = np.array(flat)  # of objects if an int is beyond int64
+        if len(out := np.flatnonzero((members < 0) | (members >= self.num_vertices))):
+            raise ValueError(f"edge {edge[out[0]]} references vertex {flat[out[0]]} out of range")
+        members = members.astype(np.intp, copy=False)
+        key = np.sort(edge * self.num_vertices + members)  # by edge, then member
+        if len(twice := np.flatnonzero(key[1:] == key[:-1])):
+            raise ValueError(f"edge {key[twice[0]] // self.num_vertices} repeats a vertex")
+        if self.kinds is not None and len(self.kinds) != len(edges):
             raise ValueError("kinds must have one entry per edge")
+        if types - {int}:  # numpy integers become ints
+            edges = tuple(tuple(map(int, e)) for e in edges)
+        members.flags.writeable = arity.flags.writeable = False
+        vars(self).update(edges=edges, members=members, arity=arity)  # past the frozen setattr
 
     @property
     def num_edges(self) -> int:
@@ -58,18 +74,23 @@ def index_ranges(starts: np.ndarray, lengths) -> np.ndarray:
 class Tables:
     """Each agent's neighbors and incident edges, both ascending, packed for
     agents first, first + 1, ...: agent first + q has the neighbors
-    nbrs[nbr_ptr[q]:nbr_ptr[q + 1]] and the incident edges edges[ptr[q]:ptr[q + 1]].
-    Over n agents, key[s] = q n + nbrs[s] is slot s's key. With every agent's
-    rows laid end to end, entry e's edge has the rows from starts[e] on and
-    agent first + q the rows row_ptr[q]:row_ptr[q + 1]."""
+    nbrs[nbr_ptr[q]:nbr_ptr[q + 1]] and the incident edges edges[ptr[q]:ptr[q + 1]],
+    and owns slot s if slot_agent[s] = q and entry e if entry_agent[e] = q.
+    Over n agents, key[s] = slot_agent[s] n + nbrs[s] is slot s's key. With every
+    agent's rows laid end to end, entry e's edge has the rows[e] rows from
+    starts[e] on and agent first + q the rows row_ptr[q]:row_ptr[q + 1]."""
 
-    __slots__ = ("first", "nbrs", "nbr_ptr", "key", "edges", "ptr", "starts", "row_ptr")
+    __slots__ = ("first", "nbrs", "nbr_ptr", "slot_agent", "key", "edges", "ptr",
+                 "entry_agent", "rows", "starts", "row_ptr")
 
     def __init__(self, nbrs, nbr_ptr, edges, ptr, rows, first=0):
         """Packed neighbors and incident edges; rows[e]: entry e's row count."""
         self.first, self.nbrs, self.nbr_ptr, self.edges, self.ptr = first, nbrs, nbr_ptr, edges, ptr
         n = len(nbr_ptr) - 1
-        self.key = np.repeat(np.arange(n), np.diff(nbr_ptr)) * n + nbrs
+        self.slot_agent = np.repeat(np.arange(n), np.diff(nbr_ptr))
+        self.entry_agent = np.repeat(np.arange(n), np.diff(ptr))
+        self.key = self.slot_agent * n + nbrs
+        self.rows = rows
         ends = np.cumsum(rows, dtype=np.intp)
         self.starts = ends - rows
         self.row_ptr = np.append(0, ends)[ptr]
@@ -89,9 +110,7 @@ class Tables:
 
 def build_tables(g: Hypergraph, rows) -> Tables:
     """The tables of every vertex of g, whose edge l has rows[l] rows."""
-    n = g.num_vertices
-    arity = np.fromiter(map(len, g.edges), np.intp, g.num_edges)
-    members = np.fromiter(chain.from_iterable(g.edges), np.intp, arity.sum())
+    n, arity, members = g.num_vertices, g.arity, g.members
     edge = np.repeat(np.arange(g.num_edges), arity)  # of each member entry
     order = np.lexsort((edge, members))  # by member, then edge
     edges = edge[order]

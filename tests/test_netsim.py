@@ -15,7 +15,6 @@ from fdirnet.netsim import (
     PHASE_XBAR,
     SLOT_ARRAYS,
     Network,
-    dump_trace_csv,
     message_stats,
 )
 from fdirnet.solver import build_network
@@ -161,16 +160,6 @@ def test_payload_floats_scale_with_block_dim(rng):
         net.run_phase(PHASE_XBAR)
         xbar_msgs = [m for m in net.trace if m.kind == KIND_XBAR]
         assert all(len(m.payload) == expect for m in xbar_msgs)
-
-
-def test_trace_csv_dump(tmp_path, rng):
-    net, _ = make_net(rng, n=3, record_trace=True)
-    net.run_iteration()
-    path = tmp_path / "trace.csv"
-    dump_trace_csv(net.trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "round,phase,sender,receiver,kind,payload_norm"
-    assert len(lines) == len(net.trace) + 1
 
 
 # ----- one arena, index-mapped delivery, network-wide statistics ------

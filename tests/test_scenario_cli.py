@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fdirnet.blocklin import BlockVec
 from fdirnet.cli import EXIT_DEGRADED, EXIT_ERROR, EXIT_OK, _grade, main
-from fdirnet.measurements import MeasurementKind
+from fdirnet.measurements import MeasurementKind, eval_edge
 from fdirnet.scenario import ScenarioError, load_scenario, scenario_from_dict
 from fdirnet.solver import RunTrace, SolveResult
 
@@ -200,6 +200,24 @@ def test_measurements_deterministic_and_seeded():
     assert y3.block(0) == pytest.approx(y1.block(0))  # noiseless edge
 
 
+@pytest.mark.parametrize("name", ["circle_single_fault", "mixed_chain_fault"])
+def test_noisy_measurements_match_a_per_edge_reading(name):
+    # one draw over the rows of every noisy edge gives what one draw per
+    # noisy edge, in edge order, from the same generator gives
+    doc = _shipped(name, lambda d: [e.update(sigma=(0.0, 0.01, 0.3)[l % 3])
+                                    for l, e in enumerate(d["edges"])])
+    true = {a["id"]: a["true_state"] for a in doc["agents"]}
+    rng = np.random.default_rng(doc["seed"])
+    expected = []
+    for e in doc["edges"]:
+        y = eval_edge(MeasurementKind(e["kind"]), doc["dimension"],
+                      [true[m] for m in e["members"]])
+        expected.append(y + e["sigma"] * rng.standard_normal(len(y)) if e["sigma"] else y)
+    y = scenario_from_dict(doc).measurements()
+    assert np.array_equal(y.data, np.concatenate(expected))
+    assert y.structure.lengths == tuple(map(len, expected))
+
+
 def test_round_trip_save_load(tmp_path):
     scn = scenario_from_dict(base_doc())
     path = tmp_path / "s.yaml"
@@ -283,6 +301,102 @@ def test_loader_fuzz_returns_a_scenario_or_scenario_error(doc):
         scenario_from_dict(doc)
     except ScenarioError:
         pass
+
+
+COORDINATE = st.one_of(st.integers(-100, 100), st.floats(-100, 100))
+
+
+@st.composite
+def valid_documents(draw):
+    """Valid documents: every kind, in any mix, 3-member edges among them,
+    ids neither contiguous nor sorted, int and float coordinates, some sigma > 0."""
+    d = draw(st.sampled_from([2, 3]))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=3, max_size=8, unique=True))
+    agents = []
+    for aid in ids:
+        agent = {"id": aid, "true_state": draw(st.lists(COORDINATE, min_size=d, max_size=d))}
+        if draw(st.booleans()):
+            agent["reported_state"] = draw(st.lists(COORDINATE, min_size=d, max_size=d))
+        agents.append(agent)
+    edges = []
+    for kind in draw(st.lists(st.sampled_from(list(MeasurementKind)), max_size=12)):
+        edge = {"kind": kind.value, "members": draw(st.permutations(ids))[:kind.arity]}
+        if draw(st.booleans()):
+            edge["sigma"] = draw(st.one_of(st.integers(0, 3), st.floats(0, 1)))
+        edges.append(edge)
+    return {"dimension": d, "seed": draw(st.integers(0, 99)), "agents": agents, "edges": edges}
+
+
+@settings(deadline=None, max_examples=150)
+@given(valid_documents())
+def test_loader_matches_a_per_entry_reading(doc):
+    scn = scenario_from_dict(doc)
+    d, by_id = doc["dimension"], {a["id"]: a for a in doc["agents"]}
+    ids = sorted(by_id)
+    index = {aid: k for k, aid in enumerate(ids)}
+    assert scn.agent_ids == tuple(ids)
+    for k, aid in enumerate(ids):
+        true = [float(v) for v in by_id[aid]["true_state"]]
+        reported = [float(v) for v in by_id[aid].get("reported_state", true)]
+        assert scn.true_states.block(k).tolist() == true
+        assert scn.reported_states.block(k).tolist() == reported
+    g = scn.stack.graph
+    assert g.edges == tuple(tuple(index[m] for m in e["members"]) for e in doc["edges"])
+    assert all(type(v) is int for e in g.edges for v in e)
+    assert g.kinds == tuple(MeasurementKind(e["kind"]) for e in doc["edges"])
+    assert scn.stack.sigmas == tuple(float(e.get("sigma", 0.0)) for e in doc["edges"])
+    # per kind, in order of first appearance: its edges, members, rows and block keys
+    starts = np.cumsum([0] + [kind.output_dim(d) for kind in g.kinds]).tolist()
+    assert [group[0] for group in scn.stack._groups] == list(dict.fromkeys(g.kinds))
+    for kind, ls, members, rows, keys in scn.stack._groups:
+        mine = [l for l, k in enumerate(g.kinds) if k is kind]
+        assert ls.tolist() == mine
+        assert members.tolist() == [list(g.edges[l]) for l in mine]
+        assert rows.tolist() == [list(range(starts[l], starts[l + 1])) for l in mine]
+        assert keys == [(l, i) for l in mine for i in g.edges[l]]
+
+
+def ring_doc():
+    """Five agents on a ring of distance edges, for a defect at two places."""
+    return {"dimension": 2, "seed": 1,
+            "agents": [{"id": i, "true_state": [float(i), float(i * i % 3)]} for i in range(5)],
+            "edges": [{"kind": "distance", "members": [i, (i + 1) % 5]} for i in range(5)]}
+
+
+def _edge(**change):
+    return lambda doc, k: doc["edges"][k].update(change)
+
+
+def _agent(**change):
+    return lambda doc, k: doc["agents"][k].update(change)
+
+
+@pytest.mark.parametrize("lower, upper", [(0, 4), (1, 3)])
+@pytest.mark.parametrize("defect, message", [
+    (_edge(members=[0, 9]), "edges[{}].members: unknown agent id 9"),
+    (_edge(members=[0, True]), "edges[{}].members: unknown agent id True"),
+    (_edge(members=[1.0, 2]), "edges[{}].members: unknown agent id 1.0"),
+    (_edge(members=[2, 2]), "edges: edge {} repeats a vertex"),
+    (_edge(members=[1]), "edges: edge {}: distance needs 2 members, got 1"),
+    (_edge(kind="tdoa"), "edges: edge {}: tdoa needs 3 members, got 2"),
+    (_edge(sigma=-0.5), "edges[{}].sigma: must be a finite non-negative number"),
+    (_edge(sigma=float("nan")), "edges[{}].sigma: must be a finite non-negative number"),
+    (_edge(sigma=float("inf")), "edges[{}].sigma: must be a finite non-negative number"),
+    (_agent(true_state=[float("nan"), 0.0]), "agents[{}].true_state: needs 2 finite numbers"),
+    (_agent(true_state=[0.0, 10 ** 400]), "agents[{}].true_state: needs 2 finite numbers"),
+    (_agent(reported_state=[True, 0.0]), "agents[{}].reported_state: needs 2 finite numbers"),
+    (_agent(reported_state=[-float("inf"), 0]),
+     "agents[{}].reported_state: needs 2 finite numbers"),
+], ids=["unknown-member", "bool-member", "float-member", "repeated-member", "arity",
+        "tdoa-arity", "negative-sigma", "nan-sigma", "inf-sigma", "nan-coordinate",
+        "huge-coordinate", "bool-coordinate", "inf-coordinate"])
+def test_a_defect_at_two_indices_names_the_lower(defect, message, lower, upper):
+    doc = ring_doc()
+    defect(doc, upper)
+    defect(doc, lower)
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict(doc)
+    assert str(exc.value) == message.format(lower)
 
 
 @pytest.mark.parametrize("mutate, field", [

@@ -77,6 +77,12 @@ def test_symmetry_and_incidence_brute_force(rng):
                 assert (j in nbrs_i) == (i in neighbors(t, j))
             for l, e in enumerate(g.edges):
                 assert (l in inc_i) == (i in e)
+        # each slot's and each incident entry's owner, and the entry's rows
+        assert t.slot_agent.tolist() == [i for i in range(nv) for _ in neighbors(t, i)]
+        assert t.entry_agent.tolist() == [i for i in range(nv) for _ in incident(t, i)]
+        assert t.rows.tolist() == [int(rows[l]) for i in range(nv) for l in incident(t, i)]
+        assert g.members.tolist() == [v for e in g.edges for v in e]
+        assert g.arity.tolist() == [len(e) for e in g.edges]
         Network(t, 2, 1.0)  # the network accepts every drawn table
 
 
@@ -99,6 +105,22 @@ def test_non_integer_members_rejected(member):
     # int() would truncate 1.7 to 1 and read True as 1
     with pytest.raises(ValueError, match="edge 1 has a member that is not an integer"):
         Hypergraph(3, ((0, 2), (0, member)))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((), "edge {} is empty"),
+    ((0, 1.5), "edge {} has a member that is not an integer"),
+    ((0, 7), "edge {} references vertex 7 out of range"),
+    ((0, -1), "edge {} references vertex -1 out of range"),
+    ((0, 10 ** 30), "edge {} references vertex 1000000000000000000000000000000 out of range"),
+    ((2, 0, 2), "edge {} repeats a vertex"),
+])
+def test_a_defect_at_two_edges_names_the_lower(bad, message):
+    edges = [(0, 1), (1, 2), (0, 2), (2, 1), (1, 0)]
+    edges[1] = edges[3] = bad
+    with pytest.raises(ValueError) as exc:
+        Hypergraph(3, tuple(edges))
+    assert str(exc.value).startswith(message.format(1))
 
 
 def test_numpy_integer_members_pass():
