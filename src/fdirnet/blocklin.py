@@ -95,11 +95,10 @@ def norm_2q(v: BlockVec, q: float) -> float:
     """(sum_i ||v[i]||^q)^(1/q); equals the Euclidean norm for q = 2."""
     if q <= 0:
         raise ValueError("q must be positive")
-    norms = v.block_norms()
     if q == 2.0:
         # avoids needless pow round-off in the common case
         return float(np.linalg.norm(v.data))
-    return float(np.sum(norms**q) ** (1.0 / q))
+    return float(np.sum(v.block_norms() ** q) ** (1.0 / q))
 
 
 def block_sparsity(v: BlockVec, tol: float = 0.0) -> int:

@@ -59,6 +59,7 @@ def _grade(scn: Scenario, result: SolveResult) -> FaultReport:
         fault_tol = default_fault_tol(scn.reported_states)
     true_faults = frozenset(scn.agent_ids[i] for i in support(x_true, fault_tol))
     identified = frozenset(scn.agent_ids[i] for i in result.faults)
+    unseen = np.bincount(scn.stack.graph.members, minlength=scn.num_agents) == 0
 
     tp = len(identified & true_faults)
     precision = tp / len(identified) if identified else 1.0
@@ -68,10 +69,8 @@ def _grade(scn: Scenario, result: SolveResult) -> FaultReport:
 
     return FaultReport(
         identified=identified,
-        block_norms={scn.agent_ids[i]: float(np.linalg.norm(result.x_star.block(i)))
-                     for i in range(scn.num_agents)},
-        error_blocks={scn.agent_ids[i]: [float(v) for v in result.x_star.block(i)]
-                      for i in range(scn.num_agents)},
+        block_norms=dict(zip(scn.agent_ids, result.x_star.block_norms().tolist())),
+        error_blocks=dict(zip(scn.agent_ids, result.x_star.data.reshape(-1, scn.d).tolist())),
         meas_residual=result.meas_residual,
         outer_iters=result.outer_iters,
         outer_stop=result.outer_stop,
@@ -85,6 +84,7 @@ def _grade(scn: Scenario, result: SolveResult) -> FaultReport:
                            scn.num_agents * o.inner_iters - int(rows.fastpath_count.sum()),
                            o.prox_capped)
                           for o, rows in zip(result.trace.outer, result.trace.inner)),
+        unobserved=frozenset(scn.agent_ids[i] for i in np.flatnonzero(unseen)),
     )
 
 
@@ -173,12 +173,9 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario YAML file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
-        p.add_argument("--rho", type=float, default=None,
-                       help="override the ADMM penalty")
-        p.add_argument("--max-outer", type=int, default=None,
-                       help="override the outer iteration cap")
+        p.add_argument("--seed", type=int, help="override the scenario seed")
+        p.add_argument("--rho", type=float, help="override the ADMM penalty")
+        p.add_argument("--max-outer", type=int, help="override the outer iteration cap")
         p.add_argument("--quiet", action="store_true")
         if name == "sweep":
             p.add_argument("--values", default="0.5,1.0,2.0",

@@ -19,8 +19,9 @@ from the same separations, evaluated for all edges of one kind at a time.
 
 ``MeasurementStack`` codes each edge's kind by its index in ``KINDS`` and
 checks every member count at once against the hypergraph's ``arity``; an
-error names the lowest offending edge. ``row_structure`` and the per-kind
-groups (edges, member array, rows, block keys) come from those codes.
+error names the lowest offending edge. The row offsets come from one cumsum
+over the codes' row counts, the per-kind groups (edges, member array, rows,
+block keys) from one stable order of the edges by kind and the flat arrays.
 """
 
 from __future__ import annotations
@@ -173,8 +174,15 @@ class MeasurementStack:
         return float(np.sqrt(np.square(self.sigmas) @ self.row_structure.lengths))
 
     @cached_property
+    def _row_ptr(self) -> np.ndarray:
+        """Edge l's rows are _row_ptr[l]:_row_ptr[l + 1], from one cumsum."""
+        return np.cumsum(np.append(0, np.array([k.output_dim(self.d) for k in KINDS])[self.codes]))
+
+    @cached_property
     def row_structure(self) -> BlockStructure:
-        return BlockStructure(np.array([k.output_dim(self.d) for k in KINDS])[self.codes].tolist())
+        rows = BlockStructure(np.diff(self._row_ptr).tolist())
+        vars(rows)["offsets"] = tuple(self._row_ptr.tolist())  # its cached offsets, at load
+        return rows
 
     @cached_property
     def col_structure(self) -> BlockStructure:
@@ -183,15 +191,22 @@ class MeasurementStack:
     @cached_property
     def _groups(self) -> tuple:
         """Per kind, in order of first appearance: (kind, edges, members
-        (E x arity), rows (E x m), block keys)."""
-        g, offsets = self.graph, np.array(self.row_structure.offsets)
-        groups = []
-        for code in dict.fromkeys(self.codes.tolist()):
-            kind, ls = KINDS[code], np.flatnonzero(self.codes == code)
-            members = g.members[index_ranges((np.cumsum(g.arity) - g.arity)[ls], kind.arity)]
-            keys = list(zip(np.repeat(ls, kind.arity).tolist(), members.tolist()))
-            groups.append((kind, ls, members.reshape(-1, kind.arity),
-                           offsets[ls, None] + np.arange(kind.output_dim(self.d)), keys))
+        (E x arity), rows (E x m), block keys), cut from one stable order of edges."""
+        g = self.graph
+        _, first, inverse, counts = np.unique(self.codes, return_index=True, return_inverse=True,
+                                              return_counts=True)
+        order = np.argsort(first[inverse], kind="stable")  # by kind, kinds by first edge
+        arity = g.arity[order]
+        members = g.members[index_ranges((np.cumsum(g.arity) - g.arity)[order], arity)]
+        keys = list(zip(np.repeat(order, arity).tolist(), members.tolist()))
+        groups, lo, at = [], 0, 0  # the first edge and member entry of the next kind
+        for l, count in sorted(zip(first.tolist(), counts.tolist())):
+            kind = KINDS[self.codes[l]]
+            ls, to = order[lo:lo + count], at + count * kind.arity
+            groups.append((kind, ls, members[at:to].reshape(count, kind.arity),
+                           self._row_ptr[ls, None] + np.arange(kind.output_dim(self.d)),
+                           keys[at:to]))
+            lo, at = lo + count, to
         return tuple(groups)
 
     @cached_property
@@ -264,17 +279,12 @@ RANK_TOL = 1e-10  # relative to the largest singular value
 
 
 def singular_values(R: BlockMat) -> np.ndarray:
-    dense = R.to_dense()
-    if dense.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(dense, compute_uv=False)
+    return np.linalg.svd(R.to_dense(), compute_uv=False)  # none for an empty matrix
 
 
 def numerical_rank(R: BlockMat, rank_tol: float = RANK_TOL) -> int:
     sv = singular_values(R)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sv > rank_tol * sv[0]))
+    return int(np.count_nonzero(sv > rank_tol * sv[0])) if sv.size else 0
 
 
 def search_space_dim(R: BlockMat, rank_tol: float = RANK_TOL) -> tuple[int, int]:

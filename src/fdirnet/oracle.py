@@ -98,22 +98,14 @@ def brute_force_support(p: LinearizedProblem, max_support: int,
     if total > guard:
         raise ValueError(f"{total} subsets exceeds the enumeration guard {guard}")
 
-    dense = p.R.to_dense()
+    dense, at = p.R.to_dense(), structure.offsets
     for size in range(max_support + 1):
         best = None
         for subset in combinations(range(k), size):
-            cols = np.concatenate(
-                [np.arange(structure.slice_of(i).start,
-                           structure.slice_of(i).stop) for i in subset]
-            ) if subset else np.zeros(0, dtype=int)
-            sub = dense[:, cols]
-            if cols.size:
-                coef, *_ = np.linalg.lstsq(sub, p.b_lin, rcond=None)
-                res = np.linalg.norm(sub @ coef - p.b_lin)
-            else:
-                coef = np.zeros(0)
-                res = np.linalg.norm(p.b_lin)
-            if res <= residual_tol:
+            cols = np.array([c for i in subset for c in range(at[i], at[i + 1])], dtype=int)
+            sub = dense[:, cols]  # the empty subset's least squares leave all of b_lin
+            coef, *_ = np.linalg.lstsq(sub, p.b_lin, rcond=None)
+            if np.linalg.norm(sub @ coef - p.b_lin) <= residual_tol:
                 v = np.zeros(structure.total)
                 v[cols] = coef
                 nrm = np.linalg.norm(v)

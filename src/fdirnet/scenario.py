@@ -28,20 +28,22 @@ true_state. The solver only consumes (reported states, measurements,
 topology); true states are used to synthesize measurements and to grade
 the result.
 
-``scenario_from_dict`` reads the agents and the edges in one pass each and
-runs each check once over a whole list: ids, states and sigmas here (one
-float array then holds both state vectors), member types, ranges and repeats
-in ``Hypergraph``, member counts in ``MeasurementStack``. A check names the
-first entry it rejects, so a document with one defect gets the message an
-entry-by-entry reading gives.
+``scenario_from_dict`` runs each check once over a whole list: ids, states,
+sigmas and member ids here (one float array then holds both state vectors),
+ranges and repeats in ``Hypergraph``, member counts in ``MeasurementStack``.
+It hands the hypergraph the flat arrays, every member's agent index end to end
+and each edge's count (``Hypergraph.from_flat``), and builds no per-edge tuple.
+A check names the first entry it rejects, so a document with one defect gets
+the message an entry-by-entry reading gives.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
-from itertools import chain
+from dataclasses import asdict, dataclass, fields
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 import yaml
@@ -93,31 +95,16 @@ class Scenario:
         return y
 
     def to_dict(self) -> dict:
-        agents = []
-        for idx, aid in enumerate(self.agent_ids):
-            entry = {"id": int(aid),
-                     "true_state": [float(v) for v in self.true_states.block(idx)]}
-            if not np.array_equal(self.true_states.block(idx),
-                                  self.reported_states.block(idx)):
-                entry["reported_state"] = [
-                    float(v) for v in self.reported_states.block(idx)
-                ]
-            agents.append(entry)
-        id_of = {idx: aid for idx, aid in enumerate(self.agent_ids)}
-        edges = []
-        for l, members in enumerate(self.stack.graph.edges):
-            entry = {"kind": self.stack.graph.kinds[l].value,
-                     "members": [int(id_of[m]) for m in members]}
-            if self.stack.sigmas[l] > 0:
-                entry["sigma"] = float(self.stack.sigmas[l])
-            edges.append(entry)
-        ip, op = self.inner_params, self.outer_params
-        solver = {"rho": ip.rho, "max_inner_iters": ip.max_inner_iters,
-                  "tol_primal": ip.tol_primal, "tol_dual": ip.tol_dual,
-                  "max_scp_iters": op.max_scp_iters, "tol_step": op.tol_step,
-                  "tol_meas": op.tol_meas}
-        if op.fault_tol is not None:
-            solver["fault_tol"] = op.fault_tol
+        true, reported = (x.data.reshape(-1, self.d).tolist()
+                          for x in (self.true_states, self.reported_states))
+        agents = [{"id": aid, "true_state": t, **({"reported_state": r} if r != t else {})}
+                  for aid, t, r in zip(self.agent_ids, true, reported)]
+        g = self.stack.graph
+        edges = [{"kind": kind.value, "members": [self.agent_ids[m] for m in members],
+                  **({"sigma": float(sigma)} if sigma > 0 else {})}
+                 for members, kind, sigma in zip(g.edges, g.kinds, self.stack.sigmas)]
+        solver = {k: v for k, v in (asdict(self.inner_params) | asdict(self.outer_params)).items()
+                  if v is not None}
         return {"dimension": self.d, "seed": self.seed, "agents": agents,
                 "edges": edges, "solver": solver}
 
@@ -127,18 +114,19 @@ class Scenario:
 
 
 def _reject(bad, msg: str, *columns) -> None:
-    """Raise ScenarioError if any entry of bad is true: msg formatted with the
-    first such index and each column's value there; a pass formats nothing."""
+    """Raise ScenarioError if any entry of bad is true, msg formatted with the first
+    such index and each column's value there; bad is False if a whole-list test passed."""
     if len(hits := np.flatnonzero(bad)):
         raise ScenarioError(msg.format(hits[0], *(c[hits[0]] for c in columns)))
 
 
 def _finite(values) -> bool:
-    """Whether each value is a finite number (see is_finite_number), tested by
-    builtins over all of them at once: a float compares with any int exactly."""
-    return all(issubclass(t, (int, float)) and not issubclass(t, bool)
-               for t in set(map(type, values))) \
-        and all(map(sys.float_info.max.__ge__, map(abs, values)))
+    """Whether each value is a finite number (see is_finite_number), tested over all
+    at once: floats by numpy, ints by builtins (a float compares with any int exactly)."""
+    types = set(map(type, values))
+    return all(issubclass(t, (int, float)) and not issubclass(t, bool) for t in types) and (
+        bool(np.isfinite(values).all()) if types <= {float}
+        else all(map(sys.float_info.max.__ge__, map(abs, values))))
 
 
 _KIND_OF = {k.value: k for k in MeasurementKind}
@@ -153,18 +141,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     agents = doc.get("agents")
     _reject(not (isinstance(agents, list) and agents), "agents: non-empty list required")
-    entries = [(a["id"], a.get("true_state"), a.get("reported_state", a.get("true_state")))
-               if isinstance(a, dict) and "id" in a else None for a in agents]
-    _reject([e is None for e in entries], "agents[{}]: needs an id")
-    ids, true_rows, reported_rows = zip(*entries)
-    # type(v) is int: YAML's true and false are ints too (bool subclasses int)
-    _reject([type(aid) is not int for aid in ids], "agents[{}].id: must be an integer")
+    _reject([not (isinstance(a, dict) and "id" in a) for a in agents], "agents[{}]: needs an id")
+    ids = list(map(itemgetter("id"), agents))
+    true_rows = list(map(dict.get, agents, repeat("true_state")))
+    reported_rows = list(map(dict.get, agents, repeat("reported_state"), true_rows))
+    _reject(set(map(type, ids)) != {int} and [type(aid) is not int for aid in ids],
+            "agents[{}].id: must be an integer")  # YAML's true and false are ints too
     first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # each id's first entry
-    _reject([first[aid] != k for k, aid in enumerate(ids)], "agents[{}].id: duplicate id {}",
-            ids)
-    coords = [v for r in true_rows + reported_rows if isinstance(r, list) and len(r) == d
-              for v in r]
-    if not (len(coords) == 2 * d * len(ids) and _finite(coords)):
+    _reject(len(first) < len(ids) and [first[aid] != k for k, aid in enumerate(ids)],
+            "agents[{}].id: duplicate id {}", ids)
+    both = true_rows + reported_rows
+    if not (all(map(isinstance, both, repeat(list))) and set(map(len, both)) == {d}
+            and _finite(coords := list(chain.from_iterable(both)))):
         for name, rows in (("true_state", true_rows), ("reported_state", reported_rows)):
             _reject([not (isinstance(r, list) and len(r) == d and all(map(is_finite_number, r)))
                      for r in rows], f"agents[{{}}].{name}: needs {d} finite numbers")
@@ -173,22 +161,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     edges_doc = doc.get("edges", [])
     _reject(not isinstance(edges_doc, list), "edges: must be a list")
-    entries = [(e.get("kind"), e.get("members"), e.get("sigma", 0.0))
-               if isinstance(e, dict) else None for e in edges_doc]
-    _reject([e is None for e in entries], "edges[{}]: must be a mapping")
-    names, members, sigmas = zip(*entries) if entries else ((),) * 3
+    if not all(map(isinstance, edges_doc, repeat(dict))):  # the whole list first: 1e3 edges
+        _reject([not isinstance(e, dict) for e in edges_doc], "edges[{}]: must be a mapping")
+    names, members = (list(map(dict.get, edges_doc, repeat(key))) for key in ("kind", "members"))
+    sigmas = list(map(dict.get, edges_doc, repeat("sigma"), repeat(0.0)))
     kinds = [_KIND_OF.get(k) if isinstance(k, str) else None for k in names]
-    _reject([k is None for k in kinds], "edges[{}].kind: unknown kind {!r}", names)
-    _reject([not isinstance(m, list) for m in members], "edges[{}].members: must be a list")
+    if not all(kinds):  # a kind is truthy, None is not
+        _reject([k is None for k in kinds], "edges[{}].kind: unknown kind {!r}", names)
+    if not all(map(isinstance, members, repeat(list))):
+        _reject([not isinstance(m, list) for m in members], "edges[{}].members: must be a list")
+    arity = np.fromiter(map(len, members), np.intp, len(members))
     flat = list(chain.from_iterable(members))
     if not (set(map(type, flat)) <= {int} and index_of.keys() >= set(flat)):  # no bool
         _reject([not (type(m) is int and m in index_of) for m in flat],
                 "edges[{1}].members: unknown agent id {2}",
-                np.repeat(np.arange(len(members)), list(map(len, members))), flat)
+                np.repeat(np.arange(len(members)), arity), flat)
     if not (_finite(sigmas) and min(sigmas, default=0) >= 0):
         _reject([not (is_finite_number(s) and s >= 0) for s in sigmas],
                 "edges[{}].sigma: must be a finite non-negative number")
-    edges = tuple(tuple(map(index_of.__getitem__, m)) for m in members)
+    flat = np.fromiter(map(index_of.__getitem__, flat), np.intp, len(flat))  # agent indices
 
     solver = doc.get("solver") or {}
     _reject(not isinstance(solver, dict), "solver: must be a mapping")
@@ -203,7 +194,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError(f"solver.{exc}") from None
 
     try:  # the hypergraph checks that no edge repeats a member, the stack each member count
-        graph = Hypergraph(num_vertices=len(agent_ids), edges=edges, kinds=tuple(kinds))
+        graph = Hypergraph.from_flat(len(agent_ids), flat, arity, tuple(kinds))
         stack = MeasurementStack(graph=graph, d=d, sigmas=tuple(map(float, sigmas)))
     except ValueError as exc:
         raise ScenarioError(f"edges: {exc}") from None
@@ -241,31 +232,28 @@ class FaultReport:
     true_faults: frozenset
     # per outer iteration: (inner rounds, inner stop, prox calls, capped ones)
     inner_loops: tuple[tuple[int, str, int, int], ...] = ()
+    unobserved: frozenset = frozenset()  # agents that no edge involves: never checked
 
     def to_text(self) -> str:
-        lines = ["fault report", "============"]
-        if self.identified:
-            ids = ", ".join(str(i) for i in sorted(self.identified))
-            lines.append(f"identified faulty agents: {ids}")
-        else:
-            lines.append("identified faulty agents: none")
-        lines.append(f"measurement residual: {self.meas_residual:.3e}")
-        lines.append(f"outer iterations: {self.outer_iters}"
-                     + (" (degraded convergence)" if self.degraded else ""))
-        lines.append(f"outer stop: {self.outer_stop}")
+        def listed(ids) -> str:
+            return ", ".join(map(str, sorted(ids))) or "none"
+        lines = ["fault report", "============",
+                 f"identified faulty agents: {listed(self.identified)}"]
+        if self.unobserved:
+            lines.append(f"unobserved agents (no edge, not checked): {listed(self.unobserved)}")
+        lines += [f"measurement residual: {self.meas_residual:.3e}",
+                  f"outer iterations: {self.outer_iters}"
+                  + (" (degraded convergence)" if self.degraded else ""),
+                  f"outer stop: {self.outer_stop}"]
         for k, (rounds, stop, prox, capped) in enumerate(self.inner_loops):
             lines.append(f"  outer iteration {k}: {rounds} rounds, inner stop {stop}, "
                          f"{prox} prox calls" + (f" ({capped} capped)" if capped else ""))
-        lines.append("")
-        lines.append("reconstructed error blocks:")
+        lines += ["", "reconstructed error blocks:"]
         for aid in sorted(self.block_norms):
             vals = ", ".join(f"{v:+.6f}" for v in self.error_blocks[aid])
-            lines.append(f"  agent {aid}: norm {self.block_norms[aid]:.6f}"
-                         f"  [{vals}]")
-        lines.append("")
-        lines.append("ground-truth comparison (from scenario file only):")
-        tf = ", ".join(str(i) for i in sorted(self.true_faults)) or "none"
-        lines.append(f"  true faulty agents: {tf}")
-        lines.append(f"  precision: {self.precision:.3f}  recall: {self.recall:.3f}")
-        lines.append(f"  max block reconstruction error: {self.max_block_error:.3e}")
+            lines.append(f"  agent {aid}: norm {self.block_norms[aid]:.6f}  [{vals}]")
+        lines += ["", "ground-truth comparison (from scenario file only):",
+                  f"  true faulty agents: {listed(self.true_faults)}",
+                  f"  precision: {self.precision:.3f}  recall: {self.recall:.3f}",
+                  f"  max block reconstruction error: {self.max_block_error:.3e}"]
         return "\n".join(lines) + "\n"

@@ -6,62 +6,84 @@ member vertices and carries an optional measurement-kind tag; ordering of
 both vertices and edges is fixed at construction. Duplicate hyperedges are
 allowed (two sensors can measure the same quantity).
 
-``Hypergraph`` lays all members end to end in one array, ``members``, with
-each edge's count in ``arity``, and runs its checks (empty, member type,
-range, repeats) once on them; an error names the lowest offending edge.
-``build_tables`` packs from those arrays with numpy each vertex's neighbors
-N_i (the vertices it shares an edge with), incident edges E_i and their rows
-into ``Tables``, once per network (``solver.build_network``): the
-``netsim.Network``, its agents, the solver's fill map and
-``validate_connectivity`` all read it.
+``Hypergraph`` holds every edge's members end to end in ``members`` and each
+edge's count in ``arity``, as the loader hands them on, and runs its checks
+(empty, range, repeats, kinds) once on them; an error names the lowest
+offending edge. ``edges``, a tuple of member tuples, is built on first read;
+the solve never reads it. ``build_tables`` packs from the arrays with numpy
+each vertex's neighbors N_i (the vertices it shares an edge with), incident
+edges E_i and their rows into ``Tables``, once per network
+(``solver.build_network``), for the ``netsim.Network``, its agents and the
+solver's fill map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
 
-@dataclass(frozen=True)
 class Hypergraph:
-    num_vertices: int
-    edges: tuple[tuple[int, ...], ...]
-    kinds: tuple | None = None  # one tag per edge, or None
-    members: np.ndarray = field(init=False, repr=False, compare=False)  # all, end to end
-    arity: np.ndarray = field(init=False, repr=False, compare=False)  # each edge's count
+    """``Hypergraph(n, edges, kinds)`` from one member tuple per edge, or
+    ``Hypergraph.from_flat(n, members, arity, kinds)`` from the flat arrays."""
 
-    def __post_init__(self):
-        edges = tuple(map(tuple, self.edges))
-        arity = np.fromiter(map(len, edges), np.intp, len(edges))
-        flat = list(chain.from_iterable(edges))
-        edge = np.repeat(np.arange(len(edges)), arity)  # of each member entry
+    def __init__(self, num_vertices: int, edges, kinds: tuple | None = None):
+        edges = tuple(map(tuple, edges))
+        self._check(num_vertices, np.fromiter(chain.from_iterable(edges), object),
+                    np.fromiter(map(len, edges), np.intp, len(edges)), kinds)
+
+    @classmethod
+    def from_flat(cls, num_vertices: int, members, arity, kinds: tuple | None = None):
+        """Edge l has the next arity[l] integers of members (an array, or a list)."""
+        members = np.array(members, None if isinstance(members, np.ndarray) else object)
+        arity = np.array(arity, np.intp)
+        if arity.sum() != len(members):
+            raise ValueError(f"arity sums to {arity.sum()}, not to the {len(members)} members")
+        return cls.__new__(cls)._check(num_vertices, members, arity, kinds)
+
+    def _check(self, n: int, members: np.ndarray, arity: np.ndarray, kinds) -> Hypergraph:
+        edge = np.repeat(np.arange(len(arity)), arity)  # of each member entry
         if not arity.all():
             raise ValueError(f"edge {np.argmin(arity)} is empty")
-        types = set(map(type, flat))
-        # bool subclasses int, and int() would truncate a float
-        odd = {t for t in types if issubclass(t, bool) or not issubclass(t, (int, np.integer))}
-        if odd:
-            l = edge[[type(v) in odd for v in flat].index(True)]
-            raise ValueError(f"edge {l} has a member that is not an integer: {edges[l]}")
-        members = np.array(flat)  # of objects if an int is beyond int64
-        if len(out := np.flatnonzero((members < 0) | (members >= self.num_vertices))):
-            raise ValueError(f"edge {edge[out[0]]} references vertex {flat[out[0]]} out of range")
+        odd = [] if members.dtype.kind in "iu" else [  # bool is an int; int() truncates floats
+            isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in members.tolist()]
+        if True in odd:
+            l = edge[odd.index(True)]
+            raise ValueError(f"edge {l} has a member that is not an integer: "
+                             f"{tuple(members[edge == l].tolist())}")
+        if len(members) and not (members.min() >= 0 and members.max() < n):
+            out = np.flatnonzero((members < 0) | (members >= n))[0]
+            raise ValueError(f"edge {edge[out]} references vertex {members[out]} out of range")
         members = members.astype(np.intp, copy=False)
-        key = np.sort(edge * self.num_vertices + members)  # by edge, then member
+        key = np.sort(edge * n + members)  # by edge, then member
         if len(twice := np.flatnonzero(key[1:] == key[:-1])):
-            raise ValueError(f"edge {key[twice[0]] // self.num_vertices} repeats a vertex")
-        if self.kinds is not None and len(self.kinds) != len(edges):
+            raise ValueError(f"edge {key[twice[0]] // n} repeats a vertex")
+        if kinds is not None and len(kinds) != len(arity):
             raise ValueError("kinds must have one entry per edge")
-        if types - {int}:  # numpy integers become ints
-            edges = tuple(tuple(map(int, e)) for e in edges)
         members.flags.writeable = arity.flags.writeable = False
-        vars(self).update(edges=edges, members=members, arity=arity)  # past the frozen setattr
+        vars(self).update(num_vertices=n, num_edges=len(arity), members=members, arity=arity,
+                          kinds=kinds)
+        return self
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Hypergraph is immutable: cannot set {name}")
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """Each edge's members as a tuple of ints, built on first read."""
+        flat = iter(self.members.tolist())
+        return tuple(tuple(islice(flat, k)) for k in self.arity.tolist())
+
+    def _key(self) -> tuple:  # equal keys: the same vertices, edges in order and kinds
+        return self.num_vertices, self.members.tobytes(), self.arity.tobytes(), self.kinds
+
+    def __eq__(self, other):
+        return isinstance(other, Hypergraph) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def index_ranges(starts: np.ndarray, lengths) -> np.ndarray:
@@ -128,23 +150,15 @@ def validate_connectivity(g: Hypergraph) -> tuple[bool, list[list[int]]]:
     """Connectivity of the derived simple graph (pairs co-appearing in an edge).
 
     Returns (connected, components), each component an ascending vertex
-    list and the components ordered by their lowest vertex. A disconnected
-    network cannot reach consensus across components, so callers should
-    treat False as fatal for end-to-end runs.
+    list and the components ordered by their lowest vertex. The solve needs
+    none of it: each component is solved on its own, consensus never crosses
+    one, and ``fdirnet run`` names the agents that no edge involves.
     """
-    t = build_tables(g, np.zeros(g.num_edges, np.intp))  # only the neighbors are read
-    nbrs, ptr = t.nbrs.tolist(), t.nbr_ptr.tolist()
-    seen: set[int] = set()
-    components = []
-    for root in range(g.num_vertices):
-        if root in seen:
-            continue
-        comp, todo = {root}, [root]
-        while todo:
-            v = todo.pop()
-            new = set(nbrs[ptr[v]:ptr[v + 1]]) - comp
-            comp |= new
-            todo.extend(new)
-        seen |= comp
-        components.append(sorted(comp))
+    label, starts = np.arange(g.num_vertices), np.cumsum(g.arity) - g.arity
+    while len(starts):  # each edge's members take their lowest label, until none changes
+        low = np.repeat(np.minimum.reduceat(label[g.members], starts), g.arity)
+        if (low == label[g.members]).all():
+            break
+        np.minimum.at(label, g.members, low)
+    components = [np.flatnonzero(label == root).tolist() for root in np.unique(label)]
     return len(components) <= 1, components

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdirnet.blocklin import BlockVec
-from fdirnet.cli import EXIT_DEGRADED, EXIT_ERROR, EXIT_OK, _grade, main
+from fdirnet.cli import EXIT_DEGRADED, EXIT_ERROR, EXIT_OK, _grade, _solve, main
 from fdirnet.measurements import MeasurementKind, eval_edge
 from fdirnet.scenario import ScenarioError, load_scenario, scenario_from_dict
 from fdirnet.solver import RunTrace, SolveResult
@@ -505,6 +505,28 @@ def test_cli_run_reruns_byte_identical(tmp_path, capsys):
         outs.append(out)
     for f in outs[0].iterdir():
         assert f.read_bytes() == (outs[1] / f.name).read_bytes()
+
+
+def test_cli_run_names_an_agent_no_edge_involves(tmp_path, capsys):
+    # agent 7 is in no edge: nothing checks it, so the report says so rather
+    # than count it healthy; reruns stay byte-identical
+    doc = base_doc()
+    doc["agents"].append({"id": 7, "true_state": [9.0, 9.0]})
+    doc["edges"] = [{"kind": "displacement", "members": m} for m in ([0, 1], [1, 2], [2, 0])]
+    path = tmp_path / "isolated.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    reports = []
+    for name in ("a", "b"):
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / name),
+                     "--quiet"]) == EXIT_OK
+        reports.append((tmp_path / name / "report.txt").read_bytes())
+    assert reports[0] == reports[1]
+    lines = reports[0].decode().splitlines()
+    assert lines[2:4] == ["identified faulty agents: 1",
+                          "unobserved agents (no edge, not checked): 7"]
+    # a network without such agents keeps its report as it was
+    assert "unobserved" not in _solve(load_scenario(SCENARIOS / "mixed_chain_fault.yaml"))[1] \
+        .to_text()
 
 
 def test_cli_run_fault_free(tmp_path, capsys):

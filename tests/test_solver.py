@@ -369,6 +369,23 @@ def test_golden_trajectory(name):
     assert np.max(np.abs(res.x_star.data - x_star)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_the_solve_builds_no_edge_tuples(name):
+    # the loader hands the hypergraph flat arrays; per-edge tuples are built
+    # on first read of graph.edges, which nothing on the solve path does
+    scn = load_scenario(SCENARIOS / f"{name}.yaml")
+    y = scn.measurements()
+    build_network(scn.stack, scn.reported_states, y, BlockVec(scn.reported_states.structure),
+                  scn.inner_params.rho)
+    outer_scp(scn.stack, scn.reported_states, y, scn.inner_params, scn.outer_params)
+    assert "edges" not in vars(scn.stack.graph)
+    doc = scn.to_dict()  # reads the tuples
+    back = scenario_from_dict(doc)
+    assert back.to_dict() == doc and back.stack.graph == scn.stack.graph
+    assert np.array_equal(back.true_states.data, scn.true_states.data)
+    assert np.array_equal(back.reported_states.data, scn.reported_states.data)
+
+
 def solve_scenario(scn, **outer_change):
     outer = dataclasses.replace(scn.outer_params, **outer_change)
     return outer_scp(scn.stack, scn.reported_states, scn.measurements(),

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdirnet
 
 from fdirnet.netsim import Network
-from fdirnet.topology import Hypergraph, build_tables, validate_connectivity
+from fdirnet.topology import Hypergraph, Tables, build_tables, validate_connectivity
 
 
 def one_row_each(g):
@@ -126,6 +128,73 @@ def test_a_defect_at_two_edges_names_the_lower(bad, message):
 def test_numpy_integer_members_pass():
     g = Hypergraph(3, ((np.int32(0), np.int64(2)),))
     assert g.edges == ((0, 2),) and type(g.edges[0][0]) is int
+
+
+@st.composite
+def edge_lists(draw):
+    """(vertex count, edges, kinds): 2- and 3-member edges, some duplicated,
+    isolated vertices, members as ints or numpy integers, kinds or none."""
+    n = draw(st.integers(3, 6))
+    member = st.integers(0, n - 1).map(draw(st.sampled_from([int, np.int32, np.int64])))
+    edges = draw(st.lists(st.lists(member, min_size=2, max_size=3, unique=True).map(tuple),
+                          max_size=8))
+    if edges and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))  # a duplicate edge
+    kinds = draw(st.none() | st.just(tuple(f"k{len(e)}" for e in edges)))
+    return n + draw(st.integers(0, 2)), edges, kinds  # the extra vertices are isolated
+
+
+def both_ways(n, edges, kinds):
+    """Builders of the graph from member tuples and from the flat arrays."""
+    return (lambda: Hypergraph(n, tuple(edges), kinds),
+            lambda: Hypergraph.from_flat(n, [v for e in edges for v in e],
+                                         list(map(len, edges)), kinds))
+
+
+@settings(deadline=None, max_examples=200)
+@given(edge_lists())
+def test_tuple_and_flat_construction_agree(case):
+    n, edges, kinds = case
+    graphs = [build() for build in both_ways(n, edges, kinds)]
+    # as the loader hands them on: integer arrays
+    graphs.append(Hypergraph.from_flat(n, np.array([v for e in edges for v in e], np.intp),
+                                       np.array(list(map(len, edges))), kinds))
+    for g, other in zip(graphs, graphs[1:] + graphs[:1]):
+        assert g.members.tolist() == [int(v) for e in edges for v in e]
+        assert g.arity.tolist() == list(map(len, edges)) and g.num_edges == len(edges)
+        assert g.edges == tuple(tuple(map(int, e)) for e in edges)
+        assert all(type(v) is int for e in g.edges for v in e)
+        assert g == other and hash(g) == hash(other)
+    rows = [1 + l % 3 for l in range(len(edges))]
+    tables = [build_tables(g, rows) for g in graphs]
+    for name in Tables.__slots__:
+        assert all(np.array_equal(getattr(tables[0], name), getattr(t, name)) for t in tables)
+    assert graphs[0] != Hypergraph(n + 1, tuple(edges), kinds)
+    if edges:  # one member fewer, or other kinds, is another graph
+        assert graphs[0] != Hypergraph(n, (*edges[:-1], edges[-1][:1] + edges[-1][2:]), kinds)
+        assert graphs[0] != Hypergraph(n, tuple(edges), ("x",) * len(edges))
+
+
+@settings(deadline=None, max_examples=200)
+@given(edge_lists(), st.sampled_from(["empty", "beyond", "negative", "repeat", "float", "bool",
+                                      "kinds"]), st.data())
+def test_both_constructions_reject_a_defect_alike(case, defect, data):
+    n, edges, kinds = case
+    edges = edges or [(0, 1)]
+    l = data.draw(st.integers(0, len(edges) - 1))
+    e = edges[l]
+    edges[l] = {"empty": (), "beyond": (*e[:-1], n), "negative": (-1, *e[1:]),
+                "repeat": (*e, e[0]), "float": (*e[:-1], 1.0), "bool": (*e[:-1], True),
+                "kinds": e}[defect]
+    kinds = ("k",) * (len(edges) + 1) if defect == "kinds" else None
+    messages = []
+    for build in both_ways(n, edges, kinds):
+        with pytest.raises(ValueError) as exc:
+            build()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    if defect != "kinds":  # the lowest defective edge is named
+        assert messages[0].startswith(f"edge {l} ")
 
 
 def test_connectivity():
