@@ -23,7 +23,7 @@ network's agents from the one ``build_tables`` made for it.
 Each linearization writes x*, J and r into the segment: a network writes
 every agent's at once, and a standalone agent's ``relinearize`` copies them
 in, checking their shapes. Two operators are formed once for it: the
-w-update's H^-1 = (I + J_n^T J_n)^-1 (a network inverts the ``gram`` of all
+w-update's H^-1 = (I + J_n^T J_n)^-1 (a network inverts the ``grams`` of all
 its agents with one neighbor count at once), and, on the first x-update
 that misses the fast path, the prox matrix A with the eigendecomposition of
 A^T A (later ones only build and check the new right-hand side).
@@ -106,6 +106,18 @@ def _held(m, k, d):
     return tuple((name, *at[name]) for name in at if name in AgentState.__slots__), size
 
 
+def grams(agents) -> np.ndarray:
+    """H = I + J_n^T J_n (J_n the neighbor columns of J, H^-1 the w-update's) of
+    agents with one neighbor count, stacked: products in place, then I once."""
+    d, kd = agents[0].x_star.size, agents[0].w.size
+    H = np.empty((len(agents), kd, kd))
+    for a, h in zip(agents, H):
+        Jn = a.J[:, d:]
+        np.matmul(Jn.T, Jn, out=h)
+    H.reshape(len(agents), -1)[:, ::kd + 1] += 1.0
+    return H
+
+
 class AgentState:
     """Agent i's state, views of its segment (see the module docstring).
 
@@ -167,13 +179,6 @@ class AgentState:
             setattr(self, name, v.reshape(shape) if len(shape) > 1 else v)
         return self
 
-    def gram(self) -> np.ndarray:
-        """H = I + J_n^T J_n, J_n the neighbor columns of J: H^-1 is the w-update's."""
-        Jn = self.J[:, self.n_i:]
-        H = Jn.T @ Jn
-        H.flat[::H.shape[0] + 1] += 1.0
-        return H
-
     def _take_linearization(self, J, r, x_star) -> None:
         """Copy J, r and x* into the segment, checking their shapes, and form
         H^-1 in place."""
@@ -182,7 +187,7 @@ class AgentState:
             raise ValueError(f"J {shapes[0]}, r {shapes[1]} and x* {shapes[2]} do not fit "
                              f"{self.J.shape}, {self.r.shape} and {self.x_star.shape}")
         self.J[:], self.r[:], self.x_star[:] = J, r, x_star
-        self.H_inv[:] = np.linalg.inv(self.gram())
+        self.H_inv[:] = np.linalg.inv(grams([self])[0])
 
     def shift(self) -> None:
         """Keep duals and copies warm for a new linearization: x* has absorbed

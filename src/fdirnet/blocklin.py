@@ -21,7 +21,9 @@ class BlockStructure:
     total: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(map(int, self.lengths)))
+        lengths = tuple(self.lengths)  # Python ints are kept: int() on each costs more
+        object.__setattr__(self, "lengths", lengths if set(map(type, lengths)) <= {int}
+                           else tuple(map(int, lengths)))
         if self.lengths and min(self.lengths) < 1:
             raise ValueError("block lengths must be positive")
         object.__setattr__(self, "total", sum(self.lengths))
@@ -125,13 +127,16 @@ class BlockMat:
     """A sparse block matrix; absent blocks are exactly zero.
 
     Blocks are keyed by (row block l, column block i) and stored dense.
-    Houses the measurement Jacobian R.
+    Houses the measurement Jacobian R, which builds ``blocks`` on first read.
     """
 
     def __init__(self, row_structure: BlockStructure, col_structure: BlockStructure):
         self.row_structure = row_structure
         self.col_structure = col_structure
-        self.blocks: dict[tuple[int, int], np.ndarray] = {}
+
+    @cached_property  # so that a subclass can build it on first read
+    def blocks(self) -> dict[tuple[int, int], np.ndarray]:
+        return {}
 
     def set_block(self, l: int, i: int, content) -> None:
         content = np.atleast_2d(np.asarray(content, dtype=float))

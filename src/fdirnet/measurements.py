@@ -16,12 +16,14 @@ Each model is defined once, in ``_model``: its value and its Jacobian come
 from the same separations, evaluated for all edges of one kind at a time.
 ``eval_stack`` and ``jacobian_stack`` make one such call per kind present;
 ``eval_edge`` and ``jacobian_edge`` are the same call on a one-edge batch.
+``jacobian_stack`` also returns that call's values, so a linearization
+evaluates the model once; its dict of (edge, member) blocks is built on read.
 
 ``MeasurementStack`` codes each edge's kind by its index in ``KINDS`` and
 checks every member count at once against the hypergraph's ``arity``; an
 error names the lowest offending edge. The row offsets come from one cumsum
-over the codes' row counts, the per-kind groups (edges, member array, rows,
-block keys) from one stable order of the edges by kind and the flat arrays.
+over the codes' row counts, the per-kind groups (edges, member array, rows)
+from one stable order of the edges by kind and the flat arrays.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
 from .blocklin import BlockMat, BlockStructure, BlockVec
 from .exceptions import DomainViolation
-from .topology import Hypergraph, index_ranges
+from .topology import Hypergraph
 
 # domain floor for separation norms, in state units
 EPS_DOM = 1e-9
@@ -59,6 +61,7 @@ class MeasurementKind(enum.Enum):
 
 
 KINDS = tuple(MeasurementKind)
+_CODES = {id(k): c for c, k in enumerate(KINDS)}  # an enum member is itself only; its hash is slow
 
 
 def _model(kind: MeasurementKind, P: np.ndarray, jac: bool = False, edges=None):
@@ -150,9 +153,9 @@ class MeasurementStack:
         g = self.graph
         if g.kinds is None:
             raise ValueError("hypergraph must carry measurement kinds")
-        try:  # an enum member matches itself only, by identity
-            codes = np.fromiter(map(KINDS.index, g.kinds), np.intp, g.num_edges)
-        except ValueError:
+        try:
+            codes = np.fromiter(map(_CODES.__getitem__, map(id, g.kinds)), np.intp, g.num_edges)
+        except KeyError:
             l = [not isinstance(k, MeasurementKind) for k in g.kinds].index(True)
             raise TypeError(f"edge {l} kind must be a MeasurementKind") from None
         if len(bad := np.flatnonzero(np.array([k.arity for k in KINDS])[codes] != g.arity)):
@@ -191,39 +194,36 @@ class MeasurementStack:
     @cached_property
     def _groups(self) -> tuple:
         """Per kind, in order of first appearance: (kind, edges, members
-        (E x arity), rows (E x m), block keys), cut from one stable order of edges."""
+        (E x arity), rows (E x m)), cut from one stable order of edges."""
         g = self.graph
         _, first, inverse, counts = np.unique(self.codes, return_index=True, return_inverse=True,
                                               return_counts=True)
         order = np.argsort(first[inverse], kind="stable")  # by kind, kinds by first edge
-        arity = g.arity[order]
-        members = g.members[index_ranges((np.cumsum(g.arity) - g.arity)[order], arity)]
-        keys = list(zip(np.repeat(order, arity).tolist(), members.tolist()))
-        groups, lo, at = [], 0, 0  # the first edge and member entry of the next kind
+        starts = np.cumsum(g.arity) - g.arity  # of each edge's members
+        groups, lo = [], 0  # the first edge of the next kind
         for l, count in sorted(zip(first.tolist(), counts.tolist())):
-            kind = KINDS[self.codes[l]]
-            ls, to = order[lo:lo + count], at + count * kind.arity
-            groups.append((kind, ls, members[at:to].reshape(count, kind.arity),
-                           self._row_ptr[ls, None] + np.arange(kind.output_dim(self.d)),
-                           keys[at:to]))
-            lo, at = lo + count, to
+            kind, ls = KINDS[self.codes[l]], order[lo:lo + count]
+            groups.append((kind, ls, g.members[starts[ls, None] + np.arange(kind.arity)],
+                           self._row_ptr[ls, None] + np.arange(kind.output_dim(self.d))))
+            lo += count
         return tuple(groups)
 
     @cached_property
     def _block_keys(self) -> tuple:
-        """The per-kind keys merged into edge order, members in edge order."""
-        return tuple(sorted((k for *_, keys in self._groups for k in keys), key=itemgetter(0)))
+        """Per kind, like ``_groups``: the (edge, member) key of each Jacobian block."""
+        return tuple(list(zip(np.repeat(ls, members.shape[1]).tolist(), members.ravel().tolist()))
+                     for _, ls, members, _ in self._groups)
 
 
-def _eval_kinds(stack: MeasurementStack, p: BlockVec, jac: bool) -> list:
-    """(group, values, blocks or None) per kind; errors name the lowest edge,
+def _eval_kinds(stack: MeasurementStack, p: BlockVec, jac: bool) -> tuple:
+    """(Phi(p), per kind its blocks or None); errors name the lowest edge,
     and a value or block that overflowed to a non-finite entry is one."""
     states = p.data.reshape(-1, stack.d)
-    out, errors = [], []
+    out, blocks, errors = BlockVec(stack.row_structure), [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        for group in stack._groups:
+        for kind, ls, members, rows in stack._groups:
             try:
-                y, J = _model(group[0], states[group[2]], jac, edges=group[1])
+                y, J = _model(kind, states[members], jac, edges=ls)
             except DomainViolation as exc:
                 errors.append(exc)
                 continue
@@ -232,32 +232,39 @@ def _eval_kinds(stack: MeasurementStack, p: BlockVec, jac: bool) -> list:
                 bad |= ~np.isfinite(J).all(axis=(1, 2, 3))
             if bad.any():
                 errors.append(DomainViolation("the measurement model is not finite",
-                                              edge=int(group[1][bad.argmax()])))
-            out.append((group, y, J))
+                                              edge=int(ls[bad.argmax()])))
+            out.data[rows] = y
+            blocks.append(J)
     if errors:
         raise min(errors, key=lambda exc: exc.edge)
-    return out
+    return out, tuple(blocks)
 
 
 def eval_stack(stack: MeasurementStack, p: BlockVec) -> BlockVec:
     """y = Phi(p); raises DomainViolation with the offending edge index."""
-    out = BlockVec(stack.row_structure)
-    for (_, _, _, rows, _), y, _ in _eval_kinds(stack, p, jac=False):
-        out.data[rows] = y
-    return out
+    return _eval_kinds(stack, p, jac=False)[0]
+
+
+class _Jacobian(BlockMat):
+    """R from its per-kind block arrays (see ``jacobian_stack``)."""
+
+    def __init__(self, stack: MeasurementStack, values: BlockVec, by_kind: tuple):
+        super().__init__(stack.row_structure, stack.col_structure)
+        self.stack, self.values, self.by_kind = stack, values, by_kind
+
+    @cached_property
+    def blocks(self) -> dict:
+        pairs = chain.from_iterable(zip(keys, J.reshape(-1, *J.shape[2:]))
+                                    for keys, J in zip(self.stack._block_keys, self.by_kind))
+        return dict(sorted(pairs, key=lambda kv: kv[0][0]))  # stable: members stay in order
 
 
 def jacobian_stack(stack: MeasurementStack, p: BlockVec) -> BlockMat:
-    """Block Jacobian R; block (l,i) is present iff agent i is in edge l.
-    ``R.by_kind`` holds, per kind in the stack's order, the (E, arity, m, d)
-    array of blocks that R's blocks of that kind are views of."""
-    R = BlockMat(stack.row_structure, stack.col_structure)
-    R.blocks = dict.fromkeys(stack._block_keys)
-    kinds = _eval_kinds(stack, p, jac=True)
-    for (*_, keys), _, J in kinds:
-        R.blocks.update(zip(keys, J.reshape(-1, *J.shape[2:])))
-    R.by_kind = tuple(J for *_, J in kinds)
-    return R
+    """Block Jacobian R at p; block (l,i) is present iff agent i is in edge l.
+    From one model evaluation: ``R.by_kind``, per kind in the stack's order the
+    (E, arity, m, d) array of blocks, and ``R.values`` = Phi(p), bit-equal to
+    ``eval_stack``'s. ``R.blocks``, views into ``by_kind``, is built on first read."""
+    return _Jacobian(stack, *_eval_kinds(stack, p, jac=True))
 
 
 def jacobian_fd_check(stack: MeasurementStack, p: BlockVec, step: float = 1e-6) -> float:

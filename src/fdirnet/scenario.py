@@ -172,14 +172,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _reject([not isinstance(m, list) for m in members], "edges[{}].members: must be a list")
     arity = np.fromiter(map(len, members), np.intp, len(members))
     flat = list(chain.from_iterable(members))
-    if not (set(map(type, flat)) <= {int} and index_of.keys() >= set(flat)):  # no bool
+    try:  # one lookup per member id; an unknown one gets None, which fails the conversion
+        if set(map(type, flat)) - {int}:  # True == 1 and 1.0 == 1 would find agent 1
+            raise TypeError
+        flat = np.fromiter(map(index_of.get, flat), np.intp, len(flat))  # agent indices
+    except TypeError:
         _reject([not (type(m) is int and m in index_of) for m in flat],
                 "edges[{1}].members: unknown agent id {2}",
                 np.repeat(np.arange(len(members)), arity), flat)
     if not (_finite(sigmas) and min(sigmas, default=0) >= 0):
         _reject([not (is_finite_number(s) and s >= 0) for s in sigmas],
                 "edges[{}].sigma: must be a finite non-negative number")
-    flat = np.fromiter(map(index_of.__getitem__, flat), np.intp, len(flat))  # agent indices
 
     solver = doc.get("solver") or {}
     _reject(not isinstance(solver, dict), "solver: must be a mapping")

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .agent import grams
 from .blocklin import BlockStructure, BlockVec, block_sparsity, support
 from .exceptions import DomainViolation, NumericalOverflow
 from .measurements import MeasurementStack, eval_stack, jacobian_stack
@@ -116,14 +117,14 @@ def _fill_map(stack: MeasurementStack, network: Network) -> tuple:
     """Where each linearization lands in the arena: the entries of J that
     every kind's Jacobian blocks go to, once per member that receives them;
     (arena entries, entries of y - Phi(p)) of r; x*'s entries; and, per
-    neighbor count, the agents and where their H^-1 start."""
+    neighbor count, the agents' indices and where their H^-1 start."""
     t, start, d, L = network.tables, network.start, stack.d, stack.graph.num_edges  # t: Tables
     k = np.diff(t.nbr_ptr)
     cols = (1 + k) * d  # of each agent's J
     agent = t.entry_agent
     first_row = t.starts - t.row_ptr[agent]  # of each entry's rows, in its agent's J
     J_dst = [np.zeros(0, np.intp)]
-    for kind, ls, members, _, _ in stack._groups:
+    for kind, ls, members, _ in stack._groups:
         # the kind's (E, arity, m, d) blocks go, for each member b, to the J
         # of q = members[e, b]: its rows of edge ls[e] and, for block p, the
         # column block of member j = members[e, p]
@@ -134,14 +135,11 @@ def _fill_map(stack: MeasurementStack, network: Network) -> tuple:
         at = start["J"][q] + first_row[entry] * cols[q] + col
         J_dst.append((at[..., None, None] + cols[q][..., None, None] * np.arange(m)[:, None]
                       + np.arange(d)).ravel())
-    groups = []
-    for size in np.unique(k[k > 0]):
-        of_k = np.flatnonzero(k == size)
-        groups.append(([network.ordered[a] for a in of_k], start["H_inv"][of_k]))
+    of_k = [np.flatnonzero(k == size) for size in np.unique(k[k > 0])]  # agents per count
     return (np.concatenate(J_dst),
             (index_ranges(start["r"][agent] + first_row, t.rows),
              index_ranges(np.take(stack.row_structure.offsets, t.edges), t.rows)),
-            index_ranges(start["x_star"], d), groups)
+            index_ranges(start["x_star"], d), [(a, start["H_inv"][a]) for a in of_k])
 
 
 def _write_linearization(network: Network, blocks: tuple, resid: np.ndarray,
@@ -150,29 +148,26 @@ def _write_linearization(network: Network, blocks: tuple, resid: np.ndarray,
     and x* into the arena, one assignment each, and its H^-1 with one
     inversion per neighbor count."""
     J_dst, (r_dst, r_src), x_dst, groups = network.fill
-    arena = network.arena
+    arena, ordered = network.arena, network.ordered
     arena[J_dst] = np.concatenate([np.zeros(0), *(np.tile(J.ravel(), J.shape[1])
                                                    for J in blocks)])
     arena[r_dst] = resid[r_src]
     arena[x_dst] = x_star.data
     for agents, starts in groups:
-        H = np.empty((len(agents), *agents[0].H_inv.shape))
-        for s, a in enumerate(agents):
-            H[s] = a.gram()
-        H_inv = np.linalg.inv(H).reshape(len(agents), -1)
+        H_inv = np.linalg.inv(grams([ordered[a] for a in agents.tolist()])).reshape(len(agents), -1)
         arena[starts[:, None] + np.arange(H_inv.shape[1])] = H_inv
 
 
 def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
                   x_star: BlockVec, rho: float,
                   record_trace: bool = False) -> Network:
-    """Agents with the linearization (J, r) taken at p_point."""
-    blocks = jacobian_stack(stack, p_point).by_kind  # R's dict of block views goes at once
-    resid = y.data - eval_stack(stack, p_point).data
+    """Agents with the linearization (J, r) taken at p_point: one model
+    evaluation gives both R's blocks and r = y - Phi(p_point)."""
+    R = jacobian_stack(stack, p_point)
     network = Network(build_tables(stack.graph, stack.row_structure.lengths), stack.d, rho,
                       record_trace=record_trace)
     network.fill = _fill_map(stack, network)
-    _write_linearization(network, blocks, resid, x_star)
+    _write_linearization(network, R.by_kind, y.data - R.values.data, x_star)
     return network
 
 
@@ -214,7 +209,7 @@ def inner_admm(network: Network, params: InnerParams):
     a record array of INNER_ROW, one per round.
     """
     agents = network.ordered
-    x_star = np.array([a.x_star for a in agents])
+    x_star = network.arena.take(network.fill[2]).reshape(-1, network.d)  # x*'s entries
     xbar = network.x_bars()
     rows: list[tuple] = []
     stop = "budget"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,13 @@ from fdirnet.measurements import (
     regular_point_check,
     search_space_dim,
 )
+from fdirnet.scenario import load_scenario
 from fdirnet.topology import Hypergraph
 
 from conftest import geometric_positions
 
 ALL_KINDS = list(MeasurementKind)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def random_members(rng, kind, d, spread=4.0):
@@ -134,6 +138,24 @@ def test_interleaved_stack_matches_per_edge_models(d, rng):
             for i, block in zip(e, jacobian_edge(kind, d, members)):
                 assert np.allclose(R.blocks[(l, i)], block, rtol=0, atol=1e-14)
         assert jacobian_fd_check(stack, p, step=1e-6) <= 1e-5
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_blocks_read_on_demand_are_the_per_edge_jacobians(path):
+    # R.blocks is built on its first read: one key per (edge, member), edge by
+    # edge and members in edge order, each block bit-equal to its edge's own
+    # Jacobian and a view of R.by_kind; R.values is eval_stack's y, bit for bit
+    scn = load_scenario(path)
+    g, d, p = scn.stack.graph, scn.d, scn.reported_states
+    R = jacobian_stack(scn.stack, p)
+    assert "blocks" not in vars(R)
+    assert list(R.blocks) == [(l, i) for l, e in enumerate(g.edges) for i in e]
+    pts = p.data.reshape(-1, d)
+    for l, (e, kind) in enumerate(zip(g.edges, g.kinds)):
+        for i, block in zip(e, jacobian_edge(kind, d, pts[list(e)])):
+            assert np.array_equal(R.blocks[(l, i)], block)
+            assert any(np.shares_memory(R.blocks[(l, i)], J) for J in R.by_kind)
+    assert np.array_equal(R.values.data, eval_stack(scn.stack, p).data)
 
 
 @pytest.mark.parametrize("fn", [eval_stack, jacobian_stack])

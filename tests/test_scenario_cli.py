@@ -345,10 +345,12 @@ def test_loader_matches_a_per_entry_reading(doc):
     assert all(type(v) is int for e in g.edges for v in e)
     assert g.kinds == tuple(MeasurementKind(e["kind"]) for e in doc["edges"])
     assert scn.stack.sigmas == tuple(float(e.get("sigma", 0.0)) for e in doc["edges"])
-    # per kind, in order of first appearance: its edges, members, rows and block keys
+    # per kind, in order of first appearance: its edges, members, rows and
+    # (built on first read) block keys
     starts = np.cumsum([0] + [kind.output_dim(d) for kind in g.kinds]).tolist()
     assert [group[0] for group in scn.stack._groups] == list(dict.fromkeys(g.kinds))
-    for kind, ls, members, rows, keys in scn.stack._groups:
+    assert len(scn.stack._block_keys) == len(scn.stack._groups)
+    for (kind, ls, members, rows), keys in zip(scn.stack._groups, scn.stack._block_keys):
         mine = [l for l, k in enumerate(g.kinds) if k is kind]
         assert ls.tolist() == mine
         assert members.tolist() == [list(g.edges[l]) for l in mine]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from fdirnet import solver
 from fdirnet.agent import AgentState
 from fdirnet.blocklin import BlockStructure, BlockVec
 from fdirnet.exceptions import DomainViolation, NumericalOverflow
@@ -370,20 +371,64 @@ def test_golden_trajectory(name):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_the_solve_builds_no_edge_tuples(name):
+def test_the_solve_builds_no_edge_tuples(name, monkeypatch):
     # the loader hands the hypergraph flat arrays; per-edge tuples are built
-    # on first read of graph.edges, which nothing on the solve path does
+    # on first read of graph.edges, which nothing on the solve path does; nor
+    # does it read any Jacobian's dict of blocks or the block keys behind it
     scn = load_scenario(SCENARIOS / f"{name}.yaml")
     y = scn.measurements()
+    made = []
+
+    def kept(*args):
+        made.append(jacobian_stack(*args))
+        return made[-1]
+
+    monkeypatch.setattr(solver, "jacobian_stack", kept)
     build_network(scn.stack, scn.reported_states, y, BlockVec(scn.reported_states.structure),
                   scn.inner_params.rho)
     outer_scp(scn.stack, scn.reported_states, y, scn.inner_params, scn.outer_params)
     assert "edges" not in vars(scn.stack.graph)
+    assert len(made) > 1 and not any("blocks" in vars(R) for R in made)
+    assert "_block_keys" not in vars(scn.stack)
     doc = scn.to_dict()  # reads the tuples
     back = scenario_from_dict(doc)
     assert back.to_dict() == doc and back.stack.graph == scn.stack.graph
     assert np.array_equal(back.true_states.data, scn.true_states.data)
     assert np.array_equal(back.reported_states.data, scn.reported_states.data)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_build_network_takes_r_as_y_minus_phi(path):
+    # r comes from the values of the Jacobian's model evaluation: bit-equal
+    # to y - eval_stack at the linearization point, rows of each incident edge
+    scn = load_scenario(path)
+    p, y = scn.reported_states, scn.measurements()
+    resid = y.data - eval_stack(scn.stack, p).data
+    net = build_network(scn.stack, p, y, BlockVec(p.structure), scn.inner_params.rho)
+    at = scn.stack.row_structure.offsets
+    for a in net.ordered:
+        assert np.array_equal(a.r, np.concatenate([resid[at[l]:at[l + 1]] for l in a.incident]))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_one_model_evaluation_per_linearization(name, monkeypatch):
+    # build_network and relinearize call jacobian_stack once each; the outer
+    # loop's residual is the only eval_stack call, once per outer iteration
+    scn = load_scenario(SCENARIOS / f"{name}.yaml")
+    y = scn.measurements()
+    calls = {"jacobian_stack": 0, "eval_stack": 0}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver, "jacobian_stack", counted(jacobian_stack))
+    monkeypatch.setattr(solver, "eval_stack", counted(eval_stack))
+    res = outer_scp(scn.stack, scn.reported_states, y, scn.inner_params, scn.outer_params)
+    assert res.outer_iters == len(GOLDEN[name][0]) > 1
+    assert calls == {"jacobian_stack": res.outer_iters, "eval_stack": res.outer_iters}
 
 
 def solve_scenario(scn, **outer_change):
