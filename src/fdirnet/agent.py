@@ -25,8 +25,8 @@ every agent's at once, and a standalone agent's ``relinearize`` copies them
 in, checking their shapes. Two operators are formed once for it: the
 w-update's H^-1 = (I + J_n^T J_n)^-1 (a network inverts the ``grams`` of all
 its agents with one neighbor count at once), and, on the first x-update
-that misses the fast path, the prox matrix A with the eigendecomposition of
-A^T A (later ones only build and check the new right-hand side).
+that misses the fast path, the eigendecomposition of the prox Gram
+rho (J_s^T J_s + k I), d x d with J_s the own-block columns of J.
 
 Each round quantity is computed once: the dual update evaluates c and d
 at (xbar, w) into ``viol`` and adds them to the duals, and the round
@@ -44,10 +44,13 @@ and the x-update minimizes
 
     ||x*[i] + xhat_i|| + rho/2 ( ||c_i + lam||^2 + sum_j ||d_i^j + mu[j]||^2 ),
 
-a ProxProblem in v = x*[i] + xhat_i with A_i stacking sqrt(rho) times the
-own-block columns of J and sqrt(rho) I per neighbor. Its closed-form zero
-test is the fast path: xbar[i] = -x*[i] whenever the agent's residual
-norm is at most 1/rho. Otherwise ``prox.solve_exact`` solves it exactly;
+a prox problem in v = x*[i] + xhat_i (``assemble_local_problem`` builds it)
+with A_i stacking sqrt(rho) times J_s and sqrt(rho) I per neighbor, and
+b_i = -sqrt(rho) ef, ef = [c + lam | d + mu]. Its solution needs only A^T A,
+A^T b and b^T b. A^T b = -rho v with v = J_s^T (c + lam) + sum_j (d_j + mu_j),
+and its closed-form zero test is the fast path: xbar[i] = -x*[i] whenever
+||v|| is at most 1/rho. Otherwise ``prox.solve_secular`` solves it exactly
+from the kept eigendecomposition of A^T A, g = -rho v and b^T b = rho ef.ef;
 a solve stopped at its step cap appends the agent's id to ``capped``; a
 problem whose solve would overflow (a huge rho) raises ``NumericalOverflow``.
 """
@@ -65,7 +68,7 @@ from .exceptions import NumericalOverflow
 # The exact solver is bound under the name ``solve_prox``: benchmark
 # tracing wraps ``agent.solve_prox`` by name to time and count the prox
 # solves, so renaming this binding would detach those metrics.
-from .prox import ProxProblem, solve_exact as solve_prox
+from .prox import ProxProblem, gram_eigh, solve_secular as solve_prox
 from .topology import Tables
 
 
@@ -126,7 +129,7 @@ class AgentState:
     ``on_segment`` and writes their linearizations itself. ``capped`` gets
     the agent's id for each prox solve stopped at its step cap (a network's
     agents share one, cleared per linearization); ``prox`` is the
-    x-update's last prox problem (A depends on J and rho only), if any;
+    eigendecomposition of the prox Gram rho (J_s^T J_s + k I), once formed;
     ``kept`` says that viol holds c and d at xhat = -x*.
     """
 
@@ -192,8 +195,8 @@ class AgentState:
     def shift(self) -> None:
         """Keep duals and copies warm for a new linearization: x* has absorbed
         xbar, which resets xhat to zero, so every copy is shifted by the
-        absorbed amount to stay consistent. The prox problem of the previous
-        linearization is dropped."""
+        absorbed amount to stay consistent. The prox Gram's eigendecomposition
+        of the previous linearization is dropped."""
         self.w -= self.nbr_xbar
         self.nbr_copy_of_me -= self.x_bar
         self.x_bar[:] = 0.0
@@ -253,47 +256,44 @@ class AgentState:
         """[c_i + lam | d_i + mu] at xhat_i = -x*[i]: the x-update's data."""
         return self._at(-self.x_star) + self.duals
 
-    def _problem(self, ef) -> ProxProblem:
-        """The prox problem for ef = [c + lam | d + mu]; A is built and
-        checked on the first call of a linearization and shared by the later
-        ones."""
-        sq = np.sqrt(self.rho)
-        b = -sq * ef
-        if self.prox is None:
-            # an isolated agent gets a 0-row A: only the norm term remains
-            eyes = np.tile(np.eye(self.n_i), (len(self.w), 1))
-            self.prox = ProxProblem(sq * np.vstack([self.J[:, :self.n_i], eyes]), b)
-        else:
-            self.prox = self.prox.with_rhs(b)
-        return self.prox
-
-    def _residual(self, ef) -> float:
+    def _residual(self, ef) -> np.ndarray:
+        """v = J_s^T (c + lam) + sum_j (d_j + mu_j) for ef = [c + lam | d + mu]:
+        A_i^T b_i = -rho v."""
         m = len(self.r)
-        v = self.J[:, :len(self.x_star)].T @ ef[:m] \
+        return self.J[:, :len(self.x_star)].T @ ef[:m] \
             + np.add.reduce(ef[m:].reshape(self.w.shape), axis=0)
-        return math.sqrt(v @ v)
 
     def assemble_local_problem(self) -> ProxProblem:
-        """The subproblem in the variable v = x*[i] + xhat_i."""
-        return self._problem(self._adjusted_violations())
+        """The subproblem in the variable v = x*[i] + xhat_i, with its matrix
+        A_i (an isolated agent's has no identity rows)."""
+        sq = np.sqrt(self.rho)
+        eyes = np.tile(np.eye(self.n_i), (len(self.w), 1))
+        return ProxProblem(sq * np.vstack([self.J[:, :self.n_i], eyes]),
+                           -sq * self._adjusted_violations())
 
     def residual_norm(self) -> float:
         """Norm of the dual-adjusted aggregated violations; equals
         ||A_i^T b_i|| / rho, so the fast path fires iff this is <= 1/rho."""
-        return self._residual(self._adjusted_violations())
+        v = self._residual(self._adjusted_violations())
+        return math.sqrt(v @ v)
 
     def primal_update_x(self, tol: float = 1e-9) -> np.ndarray:
         if not self.kept:  # c and d at xbar = -x*, which the fast path keeps
             np.negative(self.x_star, out=self.x_bar)
             self._violations(self.xw, self.viol)
         ef = self.viol + self.duals
-        res = self._residual(ef)
+        v = self._residual(ef)
+        res = math.sqrt(v @ v)
         self.fast_path = res <= 1.0 / self.rho
         if not self.fast_path:
-            if self.rho * res > 1e154:  # ||A^T b||; the solve squares it, overflowing at 1.3e154
+            # ||g|| = rho res; the solve squares it, overflowing at 1.3e154
+            if self.rho * res > 1e154:
                 raise NumericalOverflow(f"agent {self.i}: the x-update's prox problem leaves "
                                         f"the floating-point range at rho = {self.rho:g}")
-            sol = solve_prox(self._problem(ef), tol=tol)
+            if self.prox is None:  # A^T A = rho (J_s^T J_s + k I)
+                Js = self.J[:, :self.n_i]
+                self.prox = gram_eigh(self.rho * (Js.T @ Js + len(self.w) * np.eye(self.n_i)))
+            sol = solve_prox(self.prox, -self.rho * v, self.rho * (ef @ ef), tol=tol)
             np.subtract(sol.v_star, self.x_star, out=self.x_bar)
             if sol.stationarity_residual > tol:  # stopped at its step cap
                 self.capped.append(self.i)

@@ -20,8 +20,7 @@ import numpy as np
 
 from .blocklin import BlockVec, support
 from .exceptions import FdirError
-from .measurements import jacobian_stack, regular_point_check, search_space_dim, \
-    singular_values
+from .measurements import jacobian_stack, rank_of, singular_values
 from .scenario import FaultReport, Scenario, ScenarioError, load_scenario
 from .solver import SolveResult, default_fault_tol, outer_scp
 
@@ -109,15 +108,15 @@ def cmd_run(scn: Scenario, out_dir: Path, quiet: bool) -> int:
 
 def cmd_diagnose(scn: Scenario, quiet: bool) -> int:
     R = jacobian_stack(scn.stack, scn.reported_states)
-    k, dim = search_space_dim(R)
     n = R.col_structure.total
     m = R.row_structure.total
-    sv = singular_values(R)
+    sv = singular_values(R)  # the one SVD: rank, n - k and regularity follow
+    k = rank_of(sv)
     print(f"agents: {scn.num_agents}  edges: {scn.stack.graph.num_edges}")
     print(f"n (state dim): {n}  m (measurement dim): {m}")
     print(f"rank k: {k}")
-    print(f"search-space dimension n - k: {dim}")
-    print(f"regular point (full row rank): {regular_point_check(R)}")
+    print(f"search-space dimension n - k: {n - k}")
+    print(f"regular point (full row rank): {k == m}")
     if not quiet:
         print("singular values:", " ".join(f"{s:.6e}" for s in sv))
     return EXIT_OK

@@ -289,9 +289,13 @@ def singular_values(R: BlockMat) -> np.ndarray:
     return np.linalg.svd(R.to_dense(), compute_uv=False)  # none for an empty matrix
 
 
-def numerical_rank(R: BlockMat, rank_tol: float = RANK_TOL) -> int:
-    sv = singular_values(R)
+def rank_of(sv: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+    """The numerical rank given the singular values sv, largest first."""
     return int(np.count_nonzero(sv > rank_tol * sv[0])) if sv.size else 0
+
+
+def numerical_rank(R: BlockMat, rank_tol: float = RANK_TOL) -> int:
+    return rank_of(singular_values(R), rank_tol)
 
 
 def search_space_dim(R: BlockMat, rank_tol: float = RANK_TOL) -> tuple[int, int]:

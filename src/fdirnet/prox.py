@@ -7,13 +7,14 @@ The minimizer splits into two cases:
 
 Two solvers handle the second case:
 
-  * ``solve_exact`` (what the agents run) writes v = s (s G + I)^-1 g with
+  * ``solve_secular`` (what the agents run) writes v = s (s G + I)^-1 g with
     G = A^T A, g = A^T b and s = ||v||. One eigendecomposition G = Q L Q^T
     turns this into the secular equation h(s) = ||(s L + I)^-1 Q^T g|| = 1
     in the scalar s, solved by safeguarded Newton steps (More & Sorensen
-    1983). Its stationarity residual is exactly |h(s) - 1|. A problem keeps
-    the eigendecomposition once formed, and ``with_rhs`` hands it on to
-    problems with the same A, which then cost a few vector operations.
+    1983). Its stationarity residual is exactly |h(s) - 1|. It needs only
+    (L, Q), g and b^T b, never A: an agent keeps (L, Q) of its d x d Gram
+    for a whole linearization. ``solve_exact`` is the same solve of a
+    ``ProxProblem``.
   * ``solve_prox``, the reference, runs Nesterov's accelerated gradient
     method on the region ||v|| >= r_floor where f is smooth, the minimizer
     being bounded away from the non-differentiable origin.
@@ -41,54 +42,33 @@ class ProxCase(enum.Enum):
     INTERIOR = "interior"
 
 
-def _checked_rhs(A: np.ndarray, b) -> np.ndarray:
-    """b as a float vector, checked against the already checked A."""
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if b.ndim != 1 or A.shape[0] != b.shape[0]:
-        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("non-finite entries")
-    return b
-
-
 @dataclass(frozen=True)
 class ProxProblem:
     A: np.ndarray
     b: np.ndarray
-    # (eigenvalues clipped at 0, eigenvectors) of A^T A, formed on first use
-    _gram_eig: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        if A.ndim != 2:
-            raise ValueError(f"shape mismatch: A {A.shape}")
-        if not np.all(np.isfinite(A)):
+        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
+            raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
             raise ValueError("non-finite entries")
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", _checked_rhs(A, self.b))
+        object.__setattr__(self, "b", b)
 
     @property
     def n(self) -> int:
         return self.A.shape[1]
 
-    def with_rhs(self, b) -> ProxProblem:
-        """The problem with this A and a new b. Only b is checked; A and its
-        Gram eigendecomposition, if formed, are shared, not copied."""
-        p = object.__new__(ProxProblem)
-        object.__setattr__(p, "A", self.A)
-        object.__setattr__(p, "b", _checked_rhs(self.A, b))
-        object.__setattr__(p, "_gram_eig", self._gram_eig)
-        return p
 
-    def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, Q) with A^T A = Q diag(lam) Q^T, formed on the first call and
-        kept; problems made from this one by ``with_rhs`` afterwards share it."""
-        if self._gram_eig is None:
-            lam, Q = np.linalg.eigh(self.A.T @ self.A)
-            # round-off can leave a null eigenvalue negative
-            object.__setattr__(self, "_gram_eig", (np.maximum(lam, 0.0), Q))
-        return self._gram_eig
+def gram_eigh(G) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, Q) with G = Q diag(lam) Q^T for a Gram matrix G, lam clipped at
+    0: round-off can leave a null eigenvalue negative."""
+    if not np.all(np.isfinite(G)):
+        raise ValueError("non-finite entries")
+    lam, Q = np.linalg.eigh(G)
+    return np.maximum(lam, 0.0), Q
 
 
 @dataclass
@@ -206,9 +186,11 @@ def solve_prox(
     )
 
 
-def solve_exact(p: ProxProblem, tol: float = DEFAULT_TOL,
-                max_iters: int = DEFAULT_EXACT_STEPS) -> ProxSolution:
-    """Global minimizer of f via the case split and the secular equation.
+def solve_secular(eig: tuple[np.ndarray, np.ndarray], g: np.ndarray, bb: float,
+                  tol: float = DEFAULT_TOL,
+                  max_iters: int = DEFAULT_EXACT_STEPS) -> ProxSolution:
+    """Global minimizer of f via the case split and the secular equation,
+    from eig = (lambda, Q) of A^T A (``gram_eigh``), g = A^T b and bb = b^T b.
 
     h(s) falls monotonically from ||g|| at s = 0, and 1/h is concave in s,
     so Newton steps on 1/h - 1 from s0 = (||g|| - 1)/lambda_max, where
@@ -220,17 +202,18 @@ def solve_exact(p: ProxProblem, tol: float = DEFAULT_TOL,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    g = p.A.T @ p.b
     ng = math.sqrt(g @ g)  # ||g||, as zero_test computes it
+    if not (math.isfinite(ng) and math.isfinite(bb)):
+        raise ValueError("non-finite entries")
     if ng <= 1.0:
-        return ProxSolution(np.zeros(p.n), ProxCase.ZERO, 0.0, 0)
+        return ProxSolution(np.zeros(len(g)), ProxCase.ZERO, 0.0, 0)
 
-    lam, Q = p.gram_eig()
+    lam, Q = eig
     c = Q.T @ g
     # h(lo) >= ||g||/(1 + lo lambda_max) = 1; and ||v*|| <= f(v*) < f(0), so
     # the root lies below hi
     s = lo = (ng - 1.0) / lam[-1]
-    hi = 0.5 * float(p.b @ p.b)
+    hi = 0.5 * bb
     best = (np.inf, s, c)
     steps = 0
     while True:
@@ -252,6 +235,13 @@ def solve_exact(p: ProxProblem, tol: float = DEFAULT_TOL,
 
     gap, s, q = best
     v = Q @ (s * q)
-    if gap > tol:
-        gap = stationarity_residual(p, v)
+    if gap > tol:  # ||G v + v/||v|| - g||, with G v = Q (s L q), v/||v|| = Q q/||q||
+        r = Q @ ((s * lam + 1.0 / math.sqrt(q @ q)) * q) - g
+        gap = math.sqrt(r @ r)
     return ProxSolution(v, ProxCase.INTERIOR, gap, steps)
+
+
+def solve_exact(p: ProxProblem, tol: float = DEFAULT_TOL,
+                max_iters: int = DEFAULT_EXACT_STEPS) -> ProxSolution:
+    """``solve_secular`` of p: the eigendecomposition of A^T A, A^T b and b^T b."""
+    return solve_secular(gram_eigh(p.A.T @ p.A), p.A.T @ p.b, float(p.b @ p.b), tol, max_iters)

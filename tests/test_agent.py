@@ -6,7 +6,7 @@ import pytest
 from fdirnet.agent import FIELDS, RUNS, AgentState, layout
 from fdirnet.blocklin import BlockVec
 from fdirnet.measurements import eval_stack
-from fdirnet.prox import zero_test
+from fdirnet.prox import solve_exact, zero_test
 from fdirnet.solver import build_network
 
 from conftest import (all_pairs_distance_stack, fresh_copy, geometric_positions,
@@ -180,9 +180,55 @@ def test_x_update_calls_the_module_level_solve_prox(monkeypatch):
         s.primal_update_x()
 
 
+def _assert_x_update_matches_the_assembled_problem(s, tol=1e-9):
+    """A missed x-update against solve_exact of the assembled A-form problem."""
+    ref = solve_exact(s.assemble_local_problem(), tol=tol)
+    capped = len(s.capped)
+    xbar = s.primal_update_x(tol=tol)
+    assert not s.fast_path
+    assert np.max(np.abs(xbar - (ref.v_star - s.x_star))) <= 1e-12
+    assert (len(s.capped) > capped) == (ref.stationarity_residual > tol)
+
+
+@pytest.mark.parametrize("rho", [1.0, None], ids=["rho-1", "rho-drawn"])
+def test_missed_x_update_matches_the_assembled_problem(rng, rho):
+    # the x-update solves from rho (J_s^T J_s + k I), g = -rho v and b^T b;
+    # solve_exact forms the same from the stacked A and b
+    missed = 0
+    for _ in range(200):
+        s = random_agent_state(rng, rho=rho)
+        if s.residual_norm() > 1.0 / s.rho:
+            _assert_x_update_matches_the_assembled_problem(s)
+            # a second x-update of the linearization reuses the eigendecomposition
+            s.mu[:] = rng.normal(size=s.mu.shape)
+            if s.residual_norm() > 1.0 / s.rho:
+                _assert_x_update_matches_the_assembled_problem(s)
+            missed += 1
+    assert missed >= 50
+
+
+def test_missed_x_update_of_an_isolated_rank_deficient_agent(rng):
+    # k = 0 and a rank-1 J_s = a u^T: the Gram has a null eigenvalue, and v*
+    # lies along u, the one direction the edge rows see
+    missed = 0
+    for _ in range(20):
+        u = rng.normal(size=2)
+        s = one_edge_state(np.outer(rng.normal(size=3), u), rng.normal(size=3),
+                           x_star=rng.normal(size=2), neighbors=(),
+                           rho=float(rng.uniform(0.3, 3.0)))
+        s.lam_rows[:] = 5.0 * rng.normal(size=3)
+        if s.residual_norm() > 1.0 / s.rho:
+            _assert_x_update_matches_the_assembled_problem(s)
+            v = s.x_star + s.x_bar
+            assert abs(v[0] * u[1] - v[1] * u[0]) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(u)
+            missed += 1
+    assert missed >= 10
+
+
 @pytest.mark.parametrize("dual", ["lam_rows", "mu"])
 def test_non_finite_dual_rejected_once_the_prox_matrix_is_kept(dual):
-    # the second prox call of a linearization reuses A and checks only b
+    # the second prox call of a linearization reuses the Gram's
+    # eigendecomposition; a non-finite dual reaches the solve through g and b^T b
     s = simple_state()
     s.mu[:] = 3.0
     s.primal_update_x()

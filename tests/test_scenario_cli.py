@@ -564,6 +564,42 @@ def test_cli_diagnose_triangle(capsys):
     assert "regular point (full row rank): True" in text
 
 
+DIAGNOSE_TEXT = {  # the text before diagnose took its SVD once
+    "triangle_diagnostics": ("agents: 3  edges: 3\nn (state dim): 6  m (measurement dim): 3\n"
+                             "rank k: 3\nsearch-space dimension n - k: 3\n"
+                             "regular point (full row rank): True\n",
+                             [1.732051, 1.270978, 1.176697]),
+    "circle_single_fault": ("agents: 8  edges: 28\nn (state dim): 16  m (measurement dim): 28\n"
+                            "rank k: 13\nsearch-space dimension n - k: 3\n"
+                            "regular point (full row rank): False\n",
+                            [2.828427, 2.262858, 2.118818, 2.063536, 2.038343, 2.020960,
+                             2.006782, 1.993194, 1.978818, 1.960908, 1.934378, 1.873662,
+                             1.696902, 0.0, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGNOSE_TEXT))
+def test_cli_diagnose_takes_one_svd(name, capsys, monkeypatch):
+    # rank, n - k and regularity all come from the one set of singular values
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert main(["diagnose", "--scenario", str(SCENARIOS / f"{name}.yaml")]) == EXIT_OK
+    assert len(calls) == 1
+    head, sv = DIAGNOSE_TEXT[name]
+    text = capsys.readouterr().out
+    assert text.startswith(head)
+    # the null singular values are round-off, printed as whatever it left
+    last = text[len(head):].splitlines()
+    assert len(last) == 1 and last[0].startswith("singular values: ")
+    assert np.allclose([float(v) for v in last[0].split()[2:]], sv, rtol=0, atol=1e-6)
+
+
 def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["sweep", "--scenario",
@@ -623,9 +659,9 @@ def test_cli_report_shows_capped_prox_solves(tmp_path, monkeypatch):
     import functools
 
     import fdirnet.agent
-    from fdirnet.prox import solve_exact
+    from fdirnet.prox import solve_secular
 
-    monkeypatch.setattr(fdirnet.agent, "solve_prox", functools.partial(solve_exact, max_iters=0))
+    monkeypatch.setattr(fdirnet.agent, "solve_prox", functools.partial(solve_secular, max_iters=0))
     out = tmp_path / "out"
     main(["run", "--scenario", str(SCENARIOS / "mixed_chain_fault.yaml"),
           "--out", str(out), "--quiet"])

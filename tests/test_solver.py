@@ -14,7 +14,7 @@ from fdirnet.blocklin import BlockStructure, BlockVec
 from fdirnet.exceptions import DomainViolation, NumericalOverflow
 from fdirnet.measurements import MeasurementKind, MeasurementStack, eval_stack, jacobian_stack
 from fdirnet.netsim import PHASE_XBAR
-from fdirnet.prox import solve_exact
+from fdirnet.prox import ProxProblem, solve_secular
 from fdirnet.scenario import load_scenario, scenario_from_dict
 from fdirnet.solver import (
     PLATEAU_LAG,
@@ -32,6 +32,9 @@ from fdirnet.topology import Hypergraph
 from conftest import all_pairs_distance_stack, fresh_copy, geometric_positions, mixed_stack
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# inputs pinned for the golden trajectories besides the shipped scenarios:
+# knn_fault_n12 is perfbench's knn-fault input, workloads.knn_fault(rng([0]), 12)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def displacement_stack(n, d=2):
@@ -156,9 +159,9 @@ def force_prox(a: AgentState) -> np.ndarray:
 
 
 def test_relinearized_x_update_matches_a_fresh_agent(rng):
-    # an agent keeps its prox problem across the x-updates of one
-    # linearization; after relinearize, its x-update must bit-equal that of
-    # an agent built fresh from the same linearization and round state
+    # an agent keeps its prox Gram's eigendecomposition across the x-updates
+    # of one linearization; after relinearize, its x-update must bit-equal
+    # that of an agent built fresh from the same linearization and round state
     stack = all_pairs_distance_stack(5)
     p_true, p_hat, y = planted_scenario(rng, stack, {1: [0.5, 0.5]})
     net = build_network(stack, p_hat, y, BlockVec(p_hat.structure), rho=1.0)
@@ -354,13 +357,21 @@ GOLDEN = {
         [42, 51, 45, 18], ["stalled", "stalled", "converged", "converged"], "step", {3},
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.6000008691072877, 0.8000011976378678,
          0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    "knn_fault_n12": (
+        [50, 50, 39, 15], ["stalled", "stalled", "converged", "converged"], "step", {0},
+        [0.7485077409447679, 0.6631244445309137] + [0.0] * 22),
 }
+
+
+def golden_scenario(name):
+    path = SCENARIOS / f"{name}.yaml"
+    return load_scenario(path if path.exists() else DATA / f"{name}.yaml")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_trajectory(name):
     inner_iters, stops, outer_stop, faults, x_star = GOLDEN[name]
-    scn = load_scenario(SCENARIOS / f"{name}.yaml")
+    scn = golden_scenario(name)
     res = outer_scp(scn.stack, scn.reported_states, scn.measurements(),
                     scn.inner_params, scn.outer_params)
     assert [o.inner_iters for o in res.trace.outer] == inner_iters
@@ -375,7 +386,7 @@ def test_the_solve_builds_no_edge_tuples(name, monkeypatch):
     # the loader hands the hypergraph flat arrays; per-edge tuples are built
     # on first read of graph.edges, which nothing on the solve path does; nor
     # does it read any Jacobian's dict of blocks or the block keys behind it
-    scn = load_scenario(SCENARIOS / f"{name}.yaml")
+    scn = golden_scenario(name)
     y = scn.measurements()
     made = []
 
@@ -414,7 +425,7 @@ def test_build_network_takes_r_as_y_minus_phi(path):
 def test_one_model_evaluation_per_linearization(name, monkeypatch):
     # build_network and relinearize call jacobian_stack once each; the outer
     # loop's residual is the only eval_stack call, once per outer iteration
-    scn = load_scenario(SCENARIOS / f"{name}.yaml")
+    scn = golden_scenario(name)
     y = scn.measurements()
     calls = {"jacobian_stack": 0, "eval_stack": 0}
 
@@ -548,6 +559,21 @@ def test_non_finite_linearization_names_the_lowest_edge(agent, edge):
     assert exc.value.edge == edge
 
 
+def test_the_solve_builds_no_prox_problem(monkeypatch):
+    # a missed fast path is solved from the agent's Gram eigendecomposition,
+    # its gradient and b^T b: no ProxProblem and no stacked prox matrix
+    def refuse(self):
+        raise AssertionError("a ProxProblem was built")
+
+    monkeypatch.setattr(ProxProblem, "__post_init__", refuse)
+    scn = load_scenario(SCENARIOS / "mixed_chain_fault.yaml")
+    res = outer_scp(scn.stack, scn.reported_states, scn.measurements(), scn.inner_params,
+                    scn.outer_params)
+    assert res.faults == {2}
+    assert sum(scn.num_agents * len(rows) - rows.fastpath_count.sum()
+               for rows in res.trace.inner) > 0
+
+
 def test_capped_prox_solves_are_counted(monkeypatch):
     # a prox solve stopped at its step cap short of tol counts as capped, per
     # linearization; the default cap is never reached on a shipped scenario
@@ -557,7 +583,7 @@ def test_capped_prox_solves_are_counted(monkeypatch):
     y = scn.measurements()
     res = outer_scp(scn.stack, scn.reported_states, y, scn.inner_params, scn.outer_params)
     assert [o.prox_capped for o in res.trace.outer] == [0] * res.outer_iters
-    monkeypatch.setattr(fdirnet.agent, "solve_prox", functools.partial(solve_exact, max_iters=0))
+    monkeypatch.setattr(fdirnet.agent, "solve_prox", functools.partial(solve_secular, max_iters=0))
     res = outer_scp(scn.stack, scn.reported_states, y, scn.inner_params, scn.outer_params)
     capped = [o.prox_capped for o in res.trace.outer]
     assert sum(capped) > 0
