@@ -1,7 +1,7 @@
 """Block-partitioned vectors and matrices, and the l2,q norm family.
 
-Blocks are stored contiguously in one flat buffer with an offset table.
-All block indices are 0-based.
+A vector's blocks are stored contiguously in one flat buffer with an offset
+table; a matrix's in one dense array. All block indices are 0-based.
 """
 
 from __future__ import annotations
@@ -124,19 +124,20 @@ def complement(s, k: int) -> frozenset:
 
 
 class BlockMat:
-    """A sparse block matrix; absent blocks are exactly zero.
+    """A block matrix held as one dense array; blocks never set are exactly zero.
 
-    Blocks are keyed by (row block l, column block i) and stored dense.
-    Houses the measurement Jacobian R, which builds ``blocks`` on first read.
+    Block (l, i) is the slice (row block l, column block i) of ``dense``,
+    which is allocated on first use. Houses the measurement Jacobian R,
+    which fills ``dense`` on first read.
     """
 
     def __init__(self, row_structure: BlockStructure, col_structure: BlockStructure):
         self.row_structure = row_structure
         self.col_structure = col_structure
 
-    @cached_property  # so that a subclass can build it on first read
-    def blocks(self) -> dict[tuple[int, int], np.ndarray]:
-        return {}
+    @cached_property  # so that a subclass can fill it on first read
+    def dense(self) -> np.ndarray:
+        return np.zeros((self.row_structure.total, self.col_structure.total))
 
     def set_block(self, l: int, i: int, content) -> None:
         content = np.atleast_2d(np.asarray(content, dtype=float))
@@ -145,28 +146,12 @@ class BlockMat:
             raise ValueError(
                 f"block ({l},{i}) has shape {content.shape}, expected {expected}"
             )
-        self.blocks[(l, i)] = content
+        self.dense[self.row_structure.slice_of(l), self.col_structure.slice_of(i)] = content
 
     def apply(self, v: BlockVec) -> BlockVec:
         if v.structure.lengths != self.col_structure.lengths:
             raise ValueError("column structure mismatch")
-        out = BlockVec(self.row_structure)
-        for (l, i), content in self.blocks.items():
-            out.block(l)[:] += content @ v.block(i)
-        return out
-
-    def transpose_apply(self, u: BlockVec) -> BlockVec:
-        if u.structure.lengths != self.row_structure.lengths:
-            raise ValueError("row structure mismatch")
-        out = BlockVec(self.col_structure)
-        for (l, i), content in self.blocks.items():
-            out.block(i)[:] += content.T @ u.block(l)
-        return out
+        return BlockVec(self.row_structure, self.dense @ v.data)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.row_structure.total, self.col_structure.total))
-        for (l, i), content in self.blocks.items():
-            dense[self.row_structure.slice_of(l), self.col_structure.slice_of(i)] = (
-                content
-            )
-        return dense
+        return self.dense.copy()

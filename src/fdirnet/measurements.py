@@ -17,7 +17,7 @@ from the same separations, evaluated for all edges of one kind at a time.
 ``eval_stack`` and ``jacobian_stack`` make one such call per kind present;
 ``eval_edge`` and ``jacobian_edge`` are the same call on a one-edge batch.
 ``jacobian_stack`` also returns that call's values, so a linearization
-evaluates the model once; its dict of (edge, member) blocks is built on read.
+evaluates the model once; its dense form is filled on read, one scatter per kind.
 
 ``MeasurementStack`` codes each edge's kind by its index in ``KINDS`` and
 checks every member count at once against the hypergraph's ``arity``; an
@@ -31,7 +31,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -208,12 +207,6 @@ class MeasurementStack:
             lo += count
         return tuple(groups)
 
-    @cached_property
-    def _block_keys(self) -> tuple:
-        """Per kind, like ``_groups``: the (edge, member) key of each Jacobian block."""
-        return tuple(list(zip(np.repeat(ls, members.shape[1]).tolist(), members.ravel().tolist()))
-                     for _, ls, members, _ in self._groups)
-
 
 def _eval_kinds(stack: MeasurementStack, p: BlockVec, jac: bool) -> tuple:
     """(Phi(p), per kind its blocks or None); errors name the lowest edge,
@@ -246,24 +239,26 @@ def eval_stack(stack: MeasurementStack, p: BlockVec) -> BlockVec:
 
 
 class _Jacobian(BlockMat):
-    """R from its per-kind block arrays (see ``jacobian_stack``)."""
+    """R from its per-kind block arrays (see ``jacobian_stack``): each kind's
+    blocks go to its rows and its members' columns of ``dense``."""
 
     def __init__(self, stack: MeasurementStack, values: BlockVec, by_kind: tuple):
         super().__init__(stack.row_structure, stack.col_structure)
         self.stack, self.values, self.by_kind = stack, values, by_kind
 
     @cached_property
-    def blocks(self) -> dict:
-        pairs = chain.from_iterable(zip(keys, J.reshape(-1, *J.shape[2:]))
-                                    for keys, J in zip(self.stack._block_keys, self.by_kind))
-        return dict(sorted(pairs, key=lambda kv: kv[0][0]))  # stable: members stay in order
+    def dense(self) -> np.ndarray:
+        dense, d = np.zeros((self.row_structure.total, self.col_structure.total)), self.stack.d
+        for (_, _, members, rows), J in zip(self.stack._groups, self.by_kind):
+            dense[rows[:, None, :, None], d * members[:, :, None, None] + np.arange(d)] = J
+        return dense
 
 
 def jacobian_stack(stack: MeasurementStack, p: BlockVec) -> BlockMat:
-    """Block Jacobian R at p; block (l,i) is present iff agent i is in edge l.
+    """Block Jacobian R at p; block (l,i) is zero unless agent i is in edge l.
     From one model evaluation: ``R.by_kind``, per kind in the stack's order the
     (E, arity, m, d) array of blocks, and ``R.values`` = Phi(p), bit-equal to
-    ``eval_stack``'s. ``R.blocks``, views into ``by_kind``, is built on first read."""
+    ``eval_stack``'s. ``R.dense`` is filled from ``by_kind`` on first read."""
     return _Jacobian(stack, *_eval_kinds(stack, p, jac=True))
 
 

@@ -104,6 +104,17 @@ INTERLEAVED = (
 )
 
 
+def per_edge_dense(stack, pts):
+    """R as a dense array, block (l, i) from jacobian_edge for each member i
+    of edge l and zero elsewhere."""
+    rows, cols = stack.row_structure, stack.col_structure
+    dense = np.zeros((rows.total, cols.total))
+    for l, (e, kind) in enumerate(zip(stack.graph.edges, stack.graph.kinds)):
+        for i, block in zip(e, jacobian_edge(kind, stack.d, [pts[i] for i in e])):
+            dense[rows.slice_of(l), cols.slice_of(i)] = block
+    return dense
+
+
 def reference_value(kind, members):
     """Each model written out on its own, independent of the batched code."""
     pi, pj, *rest = members
@@ -128,33 +139,26 @@ def test_interleaved_stack_matches_per_edge_models(d, rng):
         p = BlockVec.from_blocks(pts)
         y = eval_stack(stack, p)
         R = jacobian_stack(stack, p)
-        assert list(R.blocks) == [(l, i) for l, e in enumerate(edges) for i in e]
+        assert np.allclose(R.to_dense(), per_edge_dense(stack, pts), rtol=0, atol=1e-14)
         for l, (kind, e) in enumerate(INTERLEAVED):
             members = [pts[i] for i in e]
             assert np.allclose(y.block(l), eval_edge(kind, d, members),
                                rtol=0, atol=1e-14)
             assert np.allclose(y.block(l), reference_value(kind, members),
                                rtol=0, atol=1e-12)
-            for i, block in zip(e, jacobian_edge(kind, d, members)):
-                assert np.allclose(R.blocks[(l, i)], block, rtol=0, atol=1e-14)
         assert jacobian_fd_check(stack, p, step=1e-6) <= 1e-5
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.stem)
 def test_blocks_read_on_demand_are_the_per_edge_jacobians(path):
-    # R.blocks is built on its first read: one key per (edge, member), edge by
-    # edge and members in edge order, each block bit-equal to its edge's own
-    # Jacobian and a view of R.by_kind; R.values is eval_stack's y, bit for bit
+    # R's dense form is filled on its first read: block (l, i) is bit-equal to
+    # edge l's own Jacobian block for each member i and exactly 0 for every
+    # other agent; R.values is eval_stack's y, bit for bit
     scn = load_scenario(path)
-    g, d, p = scn.stack.graph, scn.d, scn.reported_states
+    p = scn.reported_states
     R = jacobian_stack(scn.stack, p)
-    assert "blocks" not in vars(R)
-    assert list(R.blocks) == [(l, i) for l, e in enumerate(g.edges) for i in e]
-    pts = p.data.reshape(-1, d)
-    for l, (e, kind) in enumerate(zip(g.edges, g.kinds)):
-        for i, block in zip(e, jacobian_edge(kind, d, pts[list(e)])):
-            assert np.array_equal(R.blocks[(l, i)], block)
-            assert any(np.shares_memory(R.blocks[(l, i)], J) for J in R.by_kind)
+    assert "dense" not in vars(R)
+    assert np.array_equal(R.to_dense(), per_edge_dense(scn.stack, p.data.reshape(-1, scn.d)))
     assert np.array_equal(R.values.data, eval_stack(scn.stack, p).data)
 
 
@@ -211,9 +215,10 @@ def test_jacobian_sparsity_matches_incidence(rng):
              MeasurementKind.BEARING, MeasurementKind.SUBTENDED_ANGLE)
     stack = MeasurementStack(Hypergraph(n, edges, kinds), d)
     R = jacobian_stack(stack, BlockVec.from_blocks(pts))
+    dense, rows, cols = R.to_dense(), R.row_structure, R.col_structure
     for l, e in enumerate(edges):
         for i in range(n):
-            assert ((l, i) in R.blocks) == (i in e)
+            assert dense[rows.slice_of(l), cols.slice_of(i)].any() == (i in e)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

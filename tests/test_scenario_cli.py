@@ -345,17 +345,19 @@ def test_loader_matches_a_per_entry_reading(doc):
     assert all(type(v) is int for e in g.edges for v in e)
     assert g.kinds == tuple(MeasurementKind(e["kind"]) for e in doc["edges"])
     assert scn.stack.sigmas == tuple(float(e.get("sigma", 0.0)) for e in doc["edges"])
-    # per kind, in order of first appearance: its edges, members, rows and
-    # (built on first read) block keys
+    # per kind, in order of first appearance: its edges, members and rows;
+    # their (edge, member) keys, taken edge by edge, are each edge's members
     starts = np.cumsum([0] + [kind.output_dim(d) for kind in g.kinds]).tolist()
     assert [group[0] for group in scn.stack._groups] == list(dict.fromkeys(g.kinds))
-    assert len(scn.stack._block_keys) == len(scn.stack._groups)
-    for (kind, ls, members, rows), keys in zip(scn.stack._groups, scn.stack._block_keys):
+    for kind, ls, members, rows in scn.stack._groups:
         mine = [l for l, k in enumerate(g.kinds) if k is kind]
         assert ls.tolist() == mine
         assert members.tolist() == [list(g.edges[l]) for l in mine]
         assert rows.tolist() == [list(range(starts[l], starts[l + 1])) for l in mine]
-        assert keys == [(l, i) for l in mine for i in g.edges[l]]
+    keys = [(l, i) for _, ls, members, _ in scn.stack._groups
+            for l, m in zip(ls.tolist(), members.tolist()) for i in m]
+    assert sorted(keys, key=lambda key: key[0]) == [(l, i) for l, e in enumerate(g.edges)
+                                                    for i in e]
 
 
 def ring_doc():

@@ -385,7 +385,7 @@ def test_golden_trajectory(name):
 def test_the_solve_builds_no_edge_tuples(name, monkeypatch):
     # the loader hands the hypergraph flat arrays; per-edge tuples are built
     # on first read of graph.edges, which nothing on the solve path does; nor
-    # does it read any Jacobian's dict of blocks or the block keys behind it
+    # does it fill any Jacobian's dense form
     scn = golden_scenario(name)
     y = scn.measurements()
     made = []
@@ -399,8 +399,7 @@ def test_the_solve_builds_no_edge_tuples(name, monkeypatch):
                   scn.inner_params.rho)
     outer_scp(scn.stack, scn.reported_states, y, scn.inner_params, scn.outer_params)
     assert "edges" not in vars(scn.stack.graph)
-    assert len(made) > 1 and not any("blocks" in vars(R) for R in made)
-    assert "_block_keys" not in vars(scn.stack)
+    assert len(made) > 1 and not any("dense" in vars(R) for R in made)
     doc = scn.to_dict()  # reads the tuples
     back = scenario_from_dict(doc)
     assert back.to_dict() == doc and back.stack.graph == scn.stack.graph
@@ -497,6 +496,26 @@ def test_large_noise_solve_is_not_degraded(seed):
     res = solve_scenario(noisy_circle(1e-2, seed))
     assert not res.degraded
     assert res.outer_stop == "discrepancy"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the fault threshold ignores sigma (ROADMAP items 1 and 6)")
+def test_noisy_circle_flags_only_the_fault():
+    # at sigma = 3e-3, seeds 1, 4, 6 and 8 also flag agents 5, 5, {2, 5} and 1
+    wrong = {seed: sorted(faults) for seed in range(10)
+             if (faults := solve_scenario(noisy_circle(3e-3, seed)).faults) != {3}}
+    assert wrong == {}
+
+
+@pytest.mark.xfail(strict=True, raises=DomainViolation,
+                   reason="a degenerate edge aborts the solve (ROADMAP item 4)")
+def test_a_report_coincident_with_a_neighbour_is_flagged():
+    # agent 3 reports agent 0's position, with which it shares a distance
+    # edge: that edge is degenerate at the first linearization, and agent 3
+    # is the fault behind it
+    scn = load_scenario(SCENARIOS / "circle_single_fault.yaml")
+    scn.reported_states.block(3)[:] = scn.reported_states.block(0)
+    assert 3 in solve_scenario(scn).faults
 
 
 def test_infeasible_linearization_ends_at_its_plateau():
