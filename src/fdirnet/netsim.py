@@ -11,13 +11,15 @@ Each inner iteration has three phases with a global barrier between them:
 Every agent lives in its own segment of the network's one arena of floats;
 the network builds its agents there from the ``topology.Tables`` that
 ``build_tables`` packs once per network (neighbors, incident edges, rows,
-the slot key), shared by all, and each linearization is written into the
-arena from outside, at the field starts ``start``. Sends are the only
-cross-agent channel: index maps into the arena, built once from the
-tables and, by field name, the agent ``layout``. ``route`` maps each slot
-row ("i's slot for j", in id order) to the row that feeds it ("j's slot
-for i"); finding it checks the tables (ascending, of other agents,
-symmetric), so no agent can reach a non-neighbor.
+the slot key), shared by all. It places each linearization itself:
+``linearize`` scatters the per-kind Jacobian blocks, r and x* through maps
+built once from the tables, the stack's per-kind edges, members and rows,
+and the field starts. Sends are the only cross-agent channel: index maps
+into the arena, built once from the tables and, by field name, the agent
+``layout``. ``route`` maps each slot row ("i's slot for j", in id order)
+to the row that feeds it ("j's slot for i"); finding it checks the tables
+(ascending, of other agents, symmetric), so no agent can reach a
+non-neighbor.
 ``delivery`` pairs, per delivering phase, every entry of its receive slots
 (``SLOT_ARRAYS``) with the sender's entry (``SENT_FIELDS``) that feeds it:
 one take and one write back cover every slot. The round statistics read
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agent import AgentState, layout
+from .agent import AgentState, grams, layout
 from .exceptions import ProtocolViolation
 from .topology import Tables, index_ranges
 
@@ -66,9 +68,11 @@ class Message:
 class Network:
     """A set of agents plus the sole communication channel between them."""
 
-    def __init__(self, tables: Tables, d: int, rho: float, record_trace: bool = False):
+    def __init__(self, tables: Tables, d: int, rho: float, groups, record_trace: bool = False):
         """An agent per entry of ``tables``, with blocks of d and the ADMM
-        penalty rho; ``fill`` is left to whoever writes the linearizations."""
+        penalty rho; ``groups`` holds per measurement kind its edges, members
+        (E x arity) and rows (E x m), in the order ``linearize`` gets the
+        kinds' blocks."""
         n = len(tables.nbr_ptr) - 1
         k, m = np.diff(tables.nbr_ptr), np.diff(tables.row_ptr)
         # slot row q: agent i's slot for neighbor j
@@ -81,12 +85,11 @@ class Network:
         at, size = layout(m, k, d)
         seg = np.cumsum(size) - size
         # where each field and run of every agent starts in the arena
-        self.start = start = {name: seg + lo for name, (lo, _, _) in at.items()}
+        start = {name: seg + lo for name, (lo, _, _) in at.items()}
         self.arena = np.zeros(int(size.sum()))
         self.d = d
         self.tables = tables
         self.capped: list[int] = []  # see AgentState
-        self.fill = None  # how each linearization is written (solver.build_network)
         self.record_trace = record_trace
         self.trace: list[Message] = []
         self.round = 0
@@ -111,13 +114,58 @@ class Network:
                             m.tolist(), k.tolist(), [d] * n, seg.tolist(), size.tolist()))]
         self.agents = {a.i: a for a in self.ordered}
 
+        self.xbar_map, self.x_star_map = (index_ranges(start[f], d) for f in ("x_bar", "x_star"))
         # every c, then every d; the tables say where each edge's rows start
         # among the c
-        self.xbar_map = index_ranges(start["x_bar"], d)
         self.c_entries = int(m.sum())
         self.viol_map = np.concatenate([index_ranges(start["c"], m),
                                         index_ranges(slot_rows("d"), d)])
         self.c_starts = tables.starts
+
+        # per kind, the arena entries its (E, arity, m, d) blocks go to, once per
+        # member b: to the J of q = members[e, b], its rows of edge edges[e] and,
+        # for block p, the column block of member j = members[e, p]; and (arena
+        # entries, rows of y - Phi) of r. L exceeds every edge id (an edge has
+        # an entry per member), and cols counts each agent's J columns.
+        agent, L, cols = tables.entry_agent, len(tables.edges), (1 + k) * d
+        first_row = tables.starts - tables.row_ptr[agent]  # of each entry's rows, in its J
+        J_dst, r_map = [np.zeros(0, np.intp)], [np.zeros((2, 0), np.intp)]
+        for edges, members, rows in groups:
+            q, j, dim = members.T[:, :, None], members[None], rows.shape[1]
+            e_row = first_row[np.searchsorted(agent * L + tables.edges, members.T * L + edges)]
+            col = np.where(q == j, 0, 1 + tables.slot(q, j)) * d
+            J_at = start["J"][q] + e_row[:, :, None] * cols[q] + col
+            J_dst.append((J_at[..., None, None] + cols[q][..., None, None]
+                          * np.arange(dim)[:, None] + np.arange(d)).ravel())
+            r_at = (start["r"][members.T] + e_row)[..., None] + np.arange(dim)
+            r_map.append(np.reshape(np.broadcast_arrays(r_at, rows), (2, -1)))
+        self.J_dst, (self.r_dst, self.r_src) = np.concatenate(J_dst), np.concatenate(r_map, 1)
+        # per neighbor count, its agents and where their H^-1 start
+        self.H_groups = [([self.ordered[a] for a in of_k.tolist()], start["H_inv"][of_k])
+                         for of_k in (np.flatnonzero(k == c) for c in np.unique(k[k > 0]))]
+
+    def linearize(self, blocks: tuple, resid: np.ndarray, x_star: np.ndarray) -> None:
+        """Write every agent's J (from ``blocks``, per kind its Jacobian blocks),
+        r (from resid = y - Phi) and x* (flat) into the arena, one assignment
+        each, and its H^-1 with one inversion per neighbor count."""
+        arena = self.arena
+        arena[self.J_dst] = np.concatenate([np.zeros(0), *(np.tile(J.ravel(), J.shape[1])
+                                                           for J in blocks)])
+        arena[self.r_dst] = resid[self.r_src]
+        arena[self.x_star_map] = x_star
+        for agents, starts in self.H_groups:
+            H_inv = np.linalg.inv(grams(agents)).reshape(len(agents), -1)
+            arena[starts[:, None] + np.arange(H_inv.shape[1])] = H_inv
+
+    def shift(self) -> None:
+        """Keep every agent warm for a new linearization (``AgentState.shift``)."""
+        for a in self.ordered:
+            a.shift()
+        self.capped.clear()
+
+    def x_stars(self) -> np.ndarray:
+        """Every agent's x*, one row per agent."""
+        return self.arena.take(self.x_star_map).reshape(-1, self.d)
 
     def x_bars(self) -> np.ndarray:
         """Every agent's xbar, one row per agent."""
@@ -147,7 +195,7 @@ class Network:
         rows = sent.reshape(len(kinds), -1, self.d)[:, self.route]
         rows.flags.writeable = False  # so are the rows the messages carry
         by_kind = dict(zip(kinds, rows))
-        pairs = ((a.i, j) for a in self.ordered for j in a.neighbors)
+        pairs = zip(self.tables.slot_agent.tolist(), self.tables.nbrs.tolist())
         out = [Message(i, j, self.round, phase, kind, by_kind[kind][q])
                for q, (i, j) in enumerate(pairs) for kind in sorted(kinds)]
         self.trace.extend(out)
@@ -163,10 +211,12 @@ class Network:
             update(a)
         return self._deliver(phase) if phase in self.delivery else []
 
-    def run_iteration(self) -> None:
+    def run_iteration(self) -> int:
+        """Run one round; returns how many agents took the x-update's fast path."""
         for phase in (PHASE_XBAR, PHASE_COPY, PHASE_DUAL):
             self.run_phase(phase)
         self.round += 1
+        return sum(a.fast_path for a in self.ordered)
 
 
 def message_stats(trace: list[Message]) -> dict[int, dict]:

@@ -83,7 +83,8 @@ class Scenario:
                 y = eval_stack(self.stack, self.true_states)
             except DomainViolation as exc:
                 raise ScenarioError(f"edges[{exc.edge}]: {exc}") from None
-            sigma = np.repeat(self.stack.sigmas, y.structure.lengths)  # per row
+            s = self.stack.sigmas  # None: a noiseless map
+            sigma = np.zeros_like(y.data) if s is None else np.repeat(s, y.structure.lengths)
             noisy = np.flatnonzero(sigma > 0)
             if len(noisy):  # one draw over the rows of every noisy edge, in order
                 z = np.random.default_rng(self.seed).standard_normal(len(noisy))
@@ -99,10 +100,10 @@ class Scenario:
                           for x in (self.true_states, self.reported_states))
         agents = [{"id": aid, "true_state": t, **({"reported_state": r} if r != t else {})}
                   for aid, t, r in zip(self.agent_ids, true, reported)]
-        g = self.stack.graph
+        g, s = self.stack.graph, self.stack.sigmas  # s None: a noiseless map
         edges = [{"kind": kind.value, "members": [self.agent_ids[m] for m in members],
                   **({"sigma": float(sigma)} if sigma > 0 else {})}
-                 for members, kind, sigma in zip(g.edges, g.kinds, self.stack.sigmas)]
+                 for members, kind, sigma in zip(g.edges, g.kinds, repeat(0) if s is None else s)]
         solver = {k: v for k, v in (asdict(self.inner_params) | asdict(self.outer_params)).items()
                   if v is not None}
         return {"dimension": self.d, "seed": self.seed, "agents": agents,
@@ -210,7 +211,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # YAML is Unicode: the parser decodes and checks it
         try:
             doc = yaml.safe_load(fh)
         except yaml.YAMLError as exc:

@@ -8,12 +8,13 @@ the violations have moved by under PLATEAU_RTOL of themselves over the
 last PLATEAU_LAG rounds. Further rounds there would only grow the duals.
 
 The outer loop relinearizes the measurement map at the accumulated
-estimate (sequential convex programming) and absorbs the inner solution
-into x*. It stops on step size, on a measurement residual within
-``tol_meas``, or on a residual within DISCREPANCY_TAU times the noise
-level the stack's sigmas imply (the discrepancy principle: a noisy y
-cannot be fitted more closely than its noise). Faulty agents are the
-blocks of x* with non-negligible norm.
+estimate (sequential convex programming), hands the network the
+Jacobian's per-kind blocks, r and x* to place (``Network.linearize``) and
+absorbs the inner solution into x*. It stops on step size, on a
+measurement residual within ``tol_meas``, or on a residual within
+DISCREPANCY_TAU times the noise level the stack's sigmas imply (the
+discrepancy principle: a noisy y cannot be fitted more closely than its
+noise). Faulty agents are the blocks of x* with non-negligible norm.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agent import grams
 from .blocklin import BlockStructure, BlockVec, block_sparsity, support
 from .exceptions import DomainViolation, NumericalOverflow
 from .measurements import MeasurementStack, eval_stack, jacobian_stack
 from .netsim import Network
-from .topology import build_tables, index_ranges
+from .topology import build_tables
 
 
 def is_finite_number(v) -> bool:
@@ -113,51 +113,6 @@ class RunTrace:
                                  row.l21_objective, meas, row.fastpath_count, stop])
 
 
-def _fill_map(stack: MeasurementStack, network: Network) -> tuple:
-    """Where each linearization lands in the arena: the entries of J that
-    every kind's Jacobian blocks go to, once per member that receives them;
-    (arena entries, entries of y - Phi(p)) of r; x*'s entries; and, per
-    neighbor count, the agents' indices and where their H^-1 start."""
-    t, start, d, L = network.tables, network.start, stack.d, stack.graph.num_edges  # t: Tables
-    k = np.diff(t.nbr_ptr)
-    cols = (1 + k) * d  # of each agent's J
-    agent = t.entry_agent
-    first_row = t.starts - t.row_ptr[agent]  # of each entry's rows, in its agent's J
-    J_dst = [np.zeros(0, np.intp)]
-    for kind, ls, members, _ in stack._groups:
-        # the kind's (E, arity, m, d) blocks go, for each member b, to the J
-        # of q = members[e, b]: its rows of edge ls[e] and, for block p, the
-        # column block of member j = members[e, p]
-        m = kind.output_dim(d)
-        q, j = members.T[:, :, None], members[None]
-        entry = np.searchsorted(agent * L + t.edges, members.T * L + ls)[:, :, None]
-        col = np.where(q == j, 0, 1 + t.slot(q, j)) * d
-        at = start["J"][q] + first_row[entry] * cols[q] + col
-        J_dst.append((at[..., None, None] + cols[q][..., None, None] * np.arange(m)[:, None]
-                      + np.arange(d)).ravel())
-    of_k = [np.flatnonzero(k == size) for size in np.unique(k[k > 0])]  # agents per count
-    return (np.concatenate(J_dst),
-            (index_ranges(start["r"][agent] + first_row, t.rows),
-             index_ranges(np.take(stack.row_structure.offsets, t.edges), t.rows)),
-            index_ranges(start["x_star"], d), [(a, start["H_inv"][a]) for a in of_k])
-
-
-def _write_linearization(network: Network, blocks: tuple, resid: np.ndarray,
-                         x_star: BlockVec) -> None:
-    """Write every agent's J (from ``blocks``, the Jacobian's ``by_kind``), r
-    and x* into the arena, one assignment each, and its H^-1 with one
-    inversion per neighbor count."""
-    J_dst, (r_dst, r_src), x_dst, groups = network.fill
-    arena, ordered = network.arena, network.ordered
-    arena[J_dst] = np.concatenate([np.zeros(0), *(np.tile(J.ravel(), J.shape[1])
-                                                   for J in blocks)])
-    arena[r_dst] = resid[r_src]
-    arena[x_dst] = x_star.data
-    for agents, starts in groups:
-        H_inv = np.linalg.inv(grams([ordered[a] for a in agents.tolist()])).reshape(len(agents), -1)
-        arena[starts[:, None] + np.arange(H_inv.shape[1])] = H_inv
-
-
 def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
                   x_star: BlockVec, rho: float,
                   record_trace: bool = False) -> Network:
@@ -165,9 +120,8 @@ def build_network(stack: MeasurementStack, p_point: BlockVec, y: BlockVec,
     evaluation gives both R's blocks and r = y - Phi(p_point)."""
     R = jacobian_stack(stack, p_point)
     network = Network(build_tables(stack.graph, stack.row_structure.lengths), stack.d, rho,
-                      record_trace=record_trace)
-    network.fill = _fill_map(stack, network)
-    _write_linearization(network, R.by_kind, y.data - R.values.data, x_star)
+                      [group[1:] for group in stack._groups], record_trace=record_trace)
+    network.linearize(R.by_kind, y.data - R.values.data, x_star.data)
     return network
 
 
@@ -176,10 +130,8 @@ def relinearize(network: Network, stack: MeasurementStack, p_point: BlockVec,
     """Hand every agent the linearization at p_point and the absorbed x*;
     resid is y - Phi(p_point), which the outer loop has already evaluated."""
     blocks = jacobian_stack(stack, p_point).by_kind
-    for a in network.ordered:
-        a.shift()
-    network.capped.clear()
-    _write_linearization(network, blocks, resid, x_star)
+    network.shift()
+    network.linearize(blocks, resid, x_star.data)
 
 
 PLATEAU_LAG = 10  # rounds between the two violation levels compared
@@ -208,20 +160,17 @@ def inner_admm(network: Network, params: InnerParams):
     Returns (xbar: BlockVec, rows, converged: bool, stop), where rows is
     a record array of INNER_ROW, one per round.
     """
-    agents = network.ordered
-    x_star = network.arena.take(network.fill[2]).reshape(-1, network.d)  # x*'s entries
-    xbar = network.x_bars()
+    x_star, xbar = network.x_stars(), network.x_bars()
     rows: list[tuple] = []
     stop = "budget"
     levels: list[float] = []  # v_k per round
 
     for _ in range(params.max_inner_iters):
-        network.run_iteration()
+        fast = network.run_iteration()  # agents on the fast path
 
         prev_xbar, xbar = xbar, network.x_bars()
         max_c, max_d = network.violation_norms()
-        rows.append((max_c, max_d, np.linalg.norm(x_star + xbar, axis=1).sum(),
-                     sum(a.fast_path for a in agents)))
+        rows.append((max_c, max_d, np.linalg.norm(x_star + xbar, axis=1).sum(), fast))
 
         dx = float(np.linalg.norm(xbar - prev_xbar, axis=1).max())
         if max_c <= params.tol_primal and max_d <= params.tol_primal \

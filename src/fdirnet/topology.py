@@ -13,8 +13,8 @@ offending edge. ``edges``, a tuple of member tuples, is built on first read;
 the solve never reads it. ``build_tables`` packs from the arrays with numpy
 each vertex's neighbors N_i (the vertices it shares an edge with), incident
 edges E_i and their rows into ``Tables``, once per network
-(``solver.build_network``), for the ``netsim.Network``, its agents and the
-solver's fill map.
+(``solver.build_network``), for the ``netsim.Network``, its agents and its
+linearization maps.
 """
 
 from __future__ import annotations

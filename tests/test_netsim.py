@@ -211,7 +211,7 @@ def test_malformed_neighbor_tables_rejected_at_construction(neighbors, monkeypat
     tables = Tables(nbrs, np.cumsum([0, *map(len, neighbors)]), no_edges[:0], no_edges,
                     no_edges[:0])
     with pytest.raises(ProtocolViolation, match="symmetric"):
-        Network(tables, 2, 1.0)
+        Network(tables, 2, 1.0, [])
 
 
 def arena_entries(net):

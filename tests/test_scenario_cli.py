@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import dataclasses
 import io
 import math
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from fdirnet.blocklin import BlockVec
 from fdirnet.cli import EXIT_DEGRADED, EXIT_ERROR, EXIT_OK, _grade, _solve, main
-from fdirnet.measurements import MeasurementKind, eval_edge
+from fdirnet.measurements import MeasurementKind, MeasurementStack, eval_edge, eval_stack
 from fdirnet.scenario import ScenarioError, load_scenario, scenario_from_dict
 from fdirnet.solver import RunTrace, SolveResult
 
@@ -229,11 +230,30 @@ def test_round_trip_save_load(tmp_path):
     assert back.stack.sigmas == scn.stack.sigmas
 
 
-def test_unparseable_yaml(tmp_path):
+def test_noiseless_stack_synthesizes_and_saves():
+    # sigmas=None is a noiseless map: y is Phi(true states), and the saved
+    # document has no sigma and loads back to the same scenario
+    scn = scenario_from_dict(base_doc())
+    scn = dataclasses.replace(scn, stack=MeasurementStack(scn.stack.graph, scn.d))
+    assert np.array_equal(scn.measurements().data,
+                          eval_stack(scn.stack, scn.true_states).data)
+    doc = scn.to_dict()
+    assert all("sigma" not in e for e in doc["edges"])
+    back = scenario_from_dict(doc)
+    assert back.stack.graph == scn.stack.graph and back.stack.sigmas == (0.0, 0.0)
+    assert np.array_equal(back.reported_states.data, scn.reported_states.data)
+    assert back.to_dict() == doc
+
+
+def test_unparseable_yaml(tmp_path, capsys):
+    # malformed YAML, and bytes that are no UTF-8 text at all
     path = tmp_path / "bad.yaml"
-    path.write_text("{[")
-    with pytest.raises(ScenarioError):
-        load_scenario(path)
+    for content in (b"{[", b"a: \x80\xc3(\x9f\xff"):
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError, match="cannot parse"):
+            load_scenario(path)
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 SCENARIO_NAMES = [f.stem for f in sorted(SCENARIOS.glob("*.yaml"))]

@@ -85,7 +85,7 @@ def test_symmetry_and_incidence_brute_force(rng):
         assert t.rows.tolist() == [int(rows[l]) for i in range(nv) for l in incident(t, i)]
         assert g.members.tolist() == [v for e in g.edges for v in e]
         assert g.arity.tolist() == [len(e) for e in g.edges]
-        Network(t, 2, 1.0)  # the network accepts every drawn table
+        Network(t, 2, 1.0, [])  # the network accepts every drawn table
 
 
 def test_invalid_edges_rejected():
